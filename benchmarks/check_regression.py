@@ -52,7 +52,6 @@ METRICS: dict[str, tuple[tuple[str, ...], ...]] = {
     "BENCH_serving.json": (
         ("basket_queries", "indexed", "queries_per_second"),
         ("basket_queries", "speedup_indexed_vs_linear"),
-        ("closed_loop", "threaded", "queries_per_second"),
         ("closed_loop", "async", "queries_per_second"),
         ("open_loop", "async", "queries_per_second"),
     ),
@@ -65,13 +64,12 @@ METRICS: dict[str, tuple[tuple[str, ...], ...]] = {
         ("index_maintenance", "speedup_delta_vs_rebuild"),
         ("deletion_validation", "validation_speedup_vs_rebuild"),
         ("session_kernels", "speedup_numpy_vs_bigint"),
-        ("policy_modes", "skip", "skip_work_ratio"),
     ),
 }
 
 #: Sections whose rows carry an ``assertion_active`` flag; a false flag on
 #: either side downgrades that section's metrics to SKIP.
-GATED_SECTIONS = ("closed_loop", "open_loop", "kernels", "snapshot_open", "policy_modes")
+GATED_SECTIONS = ("closed_loop", "open_loop", "kernels", "snapshot_open")
 
 
 @dataclass(frozen=True)

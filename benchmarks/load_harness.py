@@ -1,6 +1,6 @@
 """Closed-loop and open-loop load generator for the rule-serving tier.
 
-Drives a running ``repro serve`` endpoint (either front end) with concurrent
+Drives a running ``repro serve`` endpoint with concurrent
 keep-alive clients and reports sustained q/s plus p50/p95/p99 latency — the
 serving-side analogue of the counting benchmarks, so serving performance
 becomes a recorded trajectory instead of an anecdote.
@@ -23,7 +23,7 @@ Two generator disciplines, because they answer different questions:
 Each worker owns one persistent ``http.client.HTTPConnection`` (HTTP/1.1
 keep-alive); a connection that dies is reopened and the request counted as
 an error.  Requests are ``GET /recommend`` by default; ``--batch B`` posts
-B baskets per request to the async front end's batched endpoint (q/s then
+B baskets per request to the front end's batched endpoint (q/s then
 counts logical basket queries, requests × B, so batched and unbatched runs
 are comparable).  Baskets are drawn from the served rule set itself
 (antecedents of ``GET /rules``), so the query mix actually exercises rule
@@ -421,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TimeoutError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    frontend = health.get("frontend", "threaded")
+    frontend = health.get("frontend", "async")
     print(
         f"target {args.url}: frontend={frontend} version={health.get('version')} "
         f"rules={health.get('rules')}"

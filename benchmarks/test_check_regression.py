@@ -112,13 +112,11 @@ def test_assertion_inactive_row_skips(dirs) -> None:
     document["closed_loop"] = {
         "assertion_active": False,
         "async": {"queries_per_second": 5000.0},
-        "threaded": {"queries_per_second": 4000.0},
     }
     degraded = _serving(100_000.0)
     degraded["closed_loop"] = {
         "assertion_active": False,
         "async": {"queries_per_second": 1.0},  # collapse, but flagged inactive
-        "threaded": {"queries_per_second": 1.0},
     }
     _write(baseline, "BENCH_serving.json", document)
     _write(fresh, "BENCH_serving.json", degraded)

@@ -1,31 +1,18 @@
-"""Policy-mode benchmarks: sliding window vs unbounded, and the skip pre-check.
+"""Policy-mode benchmark: sliding window vs unbounded.
 
-Two measurements of the PR-10 policy layer, both on provably correct state:
+The same insert stream is driven through an unbounded maintainer and a
+sliding-window maintainer whose window equals the original database size.
+The window twin pays FUP2 deletion work for every batch's evictions; the
+benchmark records both costs and asserts the pinned invariant (window
+lattice ≡ re-mining the window from scratch) so the numbers describe
+identical-by-construction maintenance.
 
-* **window vs unbounded** — the same insert stream driven through an
-  unbounded maintainer and a sliding-window maintainer whose window equals
-  the original database size.  The window twin pays FUP2 deletion work for
-  every batch's evictions; the benchmark records both costs and asserts the
-  pinned invariant (window lattice ≡ re-mining the window from scratch) so
-  the numbers describe identical-by-construction maintenance.
-* **skip work ratio** — a constructed stream of no-op increments driven
-  through a maintainer with the DELI-style
-  :class:`~repro.core.policy.SkipEstimator` and a plain twin.  Work is
-  counted in *transactions read* — the deterministic currency the paper's
-  own figures use — so the ratio (plain / skip-checked) is meaningful at
-  any scale and on any runner.  The workload is built so plain FUP must
-  scan the original database at **two** candidate levels per round while
-  the skip path certifies its promotion border in one scan; see
-  :func:`test_skip_estimator_work_ratio` for the construction.
-
-When ``REPRO_BENCH_ARTIFACT`` is set the measurements land in the
-``policy_modes`` section of ``BENCH_maintenance.json``, which
-``benchmarks/check_regression.py`` gates against the committed baseline.
+When ``REPRO_BENCH_ARTIFACT`` is set the measurement lands in the
+``policy_modes`` section of ``BENCH_maintenance.json``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
@@ -33,14 +20,12 @@ import pytest
 from repro import (
     AprioriMiner,
     RuleMaintainer,
-    SkipEstimator,
     SlidingWindowPolicy,
     TransactionDatabase,
     UpdateBatch,
 )
 
 from .conftest import (
-    bench_artifact_path,
     build_workload,
     print_report,
     update_bench_artifact,
@@ -49,37 +34,6 @@ from .conftest import (
 BATCHES = 6
 POLICY_SUPPORT = 0.02
 POLICY_CONFIDENCE = 0.5
-
-
-def _update_policy_modes(key: str, payload: dict) -> None:
-    """Merge one row into the shared ``policy_modes`` section.
-
-    Both tests in this module contribute to a single section, and
-    :func:`update_bench_artifact` replaces a section wholesale — so the
-    existing sibling row is read back and re-written alongside the new one.
-    The section-level ``assertion_active`` mirrors the skip row's flag,
-    which is what ``check_regression.py`` consults for the gated
-    ``skip_work_ratio`` metric.
-    """
-    artifact = bench_artifact_path("BENCH_maintenance.json")
-    section: dict = {}
-    if artifact is not None and artifact.exists():
-        try:
-            document = json.loads(artifact.read_text(encoding="ascii"))
-        except (OSError, ValueError):
-            document = {}
-        if document.get("benchmark") == "maintenance_session" and isinstance(
-            document.get("policy_modes"), dict
-        ):
-            section = document["policy_modes"]
-    section[key] = payload
-    skip_row = section.get("skip")
-    section["assertion_active"] = bool(
-        isinstance(skip_row, dict) and skip_row.get("assertion_active")
-    )
-    update_bench_artifact(
-        "BENCH_maintenance.json", "maintenance_session", "policy_modes", section
-    )
 
 
 def _insert_batches(increment, batches: int):
@@ -141,7 +95,9 @@ def test_window_policy_vs_unbounded(benchmark):
         "window_s": round(timings["window"], 6),
         "window_invariant_checked": True,
     }
-    _update_policy_modes("window", payload)
+    update_bench_artifact(
+        "BENCH_maintenance.json", "maintenance_session", "policy_modes", {"window": payload}
+    )
     print_report(
         f"window vs unbounded on {workload.name} ({BATCHES} batches, window {window})",
         [
@@ -150,110 +106,3 @@ def test_window_policy_vs_unbounded(benchmark):
         ],
     )
     assert measured["evicted"] == len(workload.increment)
-
-
-#: Original database for the skip benchmark: 50% {1..5} rows, 25% {1,6},
-#: 25% {2,6}.  At min-support 0.2 the tracked lattice is every subset of
-#: {1..5} (support 50%) plus {6}, {1,6}, {2,6} — and, crucially, the
-#: *untracked* sets {3,6} (level 2) and {1,2,6} (level 3) have their whole
-#: subset frontier tracked.  Each increment is D identical {1..6} rows, so
-#: every tracked itemset gains the full batch (no demotion is possible)
-#: while the untracked sets gain only k·D — small forever while k·D stays
-#: under min_support·|DB|/(1−min_support).  Plain FUP therefore generates
-#: {x,6} candidates at level 2 and {1,2,6}-style candidates at level 3,
-#: both frequent inside the increment, and pays an original-database scan
-#: at *each* level; the skip path certifies the whole promotion border in
-#: one scan.  Every quantity is a transaction count over identical rows —
-#: the outcome is deterministic, not statistical.
-SKIP_BLOCK = 250
-SKIP_ORIGINAL = (
-    [[1, 2, 3, 4, 5]] * (2 * SKIP_BLOCK)
-    + [[1, 6]] * SKIP_BLOCK
-    + [[2, 6]] * SKIP_BLOCK
-)
-SKIP_BATCH = [[1, 2, 3, 4, 5, 6]] * 40
-SKIP_SUPPORT = 0.2
-
-
-@pytest.mark.benchmark(group="maintenance")
-def test_skip_estimator_work_ratio(benchmark):
-    """Transactions read with vs without the skip pre-check on no-op rounds.
-
-    The constructed stream (see ``SKIP_ORIGINAL``) never changes large-
-    itemset membership, so a sound estimator skips every round.  The ratio
-    is counted in transactions read (deterministic), not seconds, so
-    ``assertion_active`` reflects only whether the rounds really skipped —
-    never runner speed.
-    """
-
-    def run_both() -> dict:
-        reads: dict[str, int] = {}
-        stats = None
-        timings: dict[str, float] = {}
-        supports: dict[str, dict] = {}
-        for mode in ("plain", "skip-checked"):
-            estimator = SkipEstimator() if mode == "skip-checked" else None
-            maintainer = RuleMaintainer(
-                SKIP_SUPPORT, POLICY_CONFIDENCE, skip_estimator=estimator
-            )
-            maintainer.initialise(TransactionDatabase(SKIP_ORIGINAL))
-            read = 0
-            start = time.perf_counter()
-            for index in range(BATCHES):
-                maintainer.apply(
-                    UpdateBatch.from_iterables(insertions=SKIP_BATCH, label=f"noop-{index}")
-                )
-                read += maintainer.result.transactions_read
-            timings[mode] = time.perf_counter() - start
-            reads[mode] = read
-            supports[mode] = maintainer.result.lattice.supports()
-            if estimator is not None:
-                stats = estimator.stats
-        return {"reads": reads, "stats": stats, "timings": timings, "supports": supports}
-
-    measured = benchmark.pedantic(run_both, rounds=1)
-
-    # Soundness before speed: the skip twin's lattice is byte-identical to
-    # the plain twin's AND to a from-scratch mine of the final database.
-    supports = measured["supports"]
-    assert supports["plain"] == supports["skip-checked"]
-    remined = AprioriMiner(SKIP_SUPPORT).mine(
-        TransactionDatabase(SKIP_ORIGINAL + SKIP_BATCH * BATCHES)
-    )
-    assert supports["plain"] == remined.lattice.supports()
-
-    reads = measured["reads"]
-    stats = measured["stats"]
-    work_ratio = reads["plain"] / max(reads["skip-checked"], 1)
-    all_skipped = stats.rounds_skipped == BATCHES
-
-    payload = {
-        "workload": "constructed-noop-rounds",
-        "batches": BATCHES,
-        "min_support": SKIP_SUPPORT,
-        "transactions_read_plain": reads["plain"],
-        "transactions_read_skip": reads["skip-checked"],
-        "skip_work_ratio": round(work_ratio, 3),
-        "rounds_skipped": stats.rounds_skipped,
-        "rounds_checked": stats.rounds_checked,
-        "plain_s": round(measured["timings"]["plain"], 6),
-        "skip_s": round(measured["timings"]["skip-checked"], 6),
-        # The ratio is deterministic (transaction counts), so the gate is
-        # active exactly when the skip rounds actually happened.
-        "assertion_active": all_skipped,
-    }
-    _update_policy_modes("skip", payload)
-    print_report(
-        f"skip-estimator work ratio ({BATCHES} constructed no-op batches)",
-        [
-            {
-                "mode": mode,
-                "transactions_read": reads[key],
-                "seconds": round(measured["timings"][key], 4),
-            }
-            for mode, key in (("plain FUP", "plain"), ("skip-checked", "skip-checked"))
-        ],
-    )
-    assert stats.rounds_checked == BATCHES
-    assert all_skipped, "constructed no-op rounds were not skipped"
-    assert work_ratio >= 1.0

@@ -1,26 +1,22 @@
-"""End-to-end serving load: async vs threaded front end over real sockets.
+"""End-to-end serving load: the asyncio front end over real sockets.
 
 The in-process serving benchmark (``test_serving_throughput``) measures the
-snapshot's query data structures; this module measures the *servers* — both
-front ends started over the same :class:`~repro.serve.store.RuleStore` and
-driven through :mod:`benchmarks.load_harness` with concurrent keep-alive
-HTTP/1.1 clients:
+snapshot's query data structures; this module measures the *server* — an
+:class:`~repro.serve.async_server.AsyncRuleServer` over a
+:class:`~repro.serve.store.RuleStore`, driven through
+:mod:`benchmarks.load_harness` with concurrent keep-alive HTTP/1.1 clients:
 
 * **closed loop**, 32 clients each keeping one request in flight — the
-  capacity number the async front end exists to improve, and the regime of
-  the acceptance criterion (async must sustain at least the threaded q/s
-  under ≥32 keep-alive clients on a multi-core machine);
+  sustained capacity;
 * **open loop** at a fixed arrival rate well under capacity — tail latency
   under a load the server is *not* allowed to pace, measured from the
   scheduled arrival time so queueing is never silently omitted.
 
 Every run must finish with zero 5xx responses and zero transport errors —
-that part is asserted unconditionally, at any scale and core count.  The
-async ≥ threaded throughput comparison is only *asserted* on a multi-core
-machine at timing-assert scale (one core serializes the two event models
-into an unrepresentative tie-breaker); the measurements themselves are
-recorded either way, with ``cpus`` and ``assertion_active`` stamped on the
-row so a reader of ``BENCH_serving.json`` knows what the numbers mean.
+that is asserted unconditionally, at any scale and core count.  The
+measurements are recorded with ``cpus`` and ``assertion_active`` stamped on
+the row, so ``check_regression.py`` gates the closed- and open-loop q/s only
+when the run was on a multi-core machine at timing-assert scale.
 
 When ``REPRO_BENCH_ARTIFACT`` is set the rows land in ``BENCH_serving.json``
 under ``closed_loop`` and ``open_loop``, next to the in-process numbers.
@@ -36,7 +32,6 @@ from repro import (
     AprioriMiner,
     AsyncRuleServer,
     MiningOptions,
-    RuleServer,
     RuleSnapshot,
     RuleStore,
     generate_rules,
@@ -54,14 +49,13 @@ from .load_harness import run_load, wait_until_healthy
 #: support gives the richest rule set.
 SERVE_SUPPORT = 0.0075
 SERVE_CONFIDENCE = 0.3
-#: Closed-loop concurrency (the acceptance criterion says ≥32 keep-alive
-#: clients) and the open-loop offered rate, chosen well under the capacity
-#: either front end sustains even on one core.
+#: Closed-loop concurrency (32 keep-alive clients) and the open-loop offered
+#: rate, chosen well under the capacity the server sustains even on one core.
 CLOSED_CLIENTS = 32
 OPEN_CLIENTS = 8
 OPEN_RATE = 300.0
-#: Measured seconds per run (plus warm-up); kept short because two front
-#: ends × two disciplines run per session and capacity stabilises quickly.
+#: Measured seconds per run (plus warm-up); kept short because capacity
+#: stabilises quickly.
 RUN_SECONDS = 1.5
 WARMUP_SECONDS = 0.3
 #: Baskets drawn from the served rules' own antecedents.
@@ -73,13 +67,13 @@ def _cpus() -> int:
 
 
 def _throughput_assert_active() -> bool:
-    """The async ≥ threaded gate only means something with real parallelism."""
+    """Wall-time numbers only gate on a multi-core machine at timing scale."""
     return _cpus() >= 2 and timing_asserts_enabled()
 
 
 @pytest.fixture(scope="module")
-def frontends():
-    """Both front ends serving one published snapshot, plus the query pool."""
+def served():
+    """The front end serving one published snapshot, plus the query pool."""
     workload = build_workload("T10.I4.D100.d1")
     updated = workload.original.concatenate(workload.increment)
     result = AprioriMiner(
@@ -105,14 +99,13 @@ def frontends():
             baskets.append(list(key))
         if len(baskets) >= BASKET_POOL:
             break
-    with RuleServer(store) as threaded, AsyncRuleServer(store) as asynchronous:
-        wait_until_healthy(threaded.url, timeout_seconds=10.0)
-        wait_until_healthy(asynchronous.url, timeout_seconds=10.0)
+    with AsyncRuleServer(store) as server:
+        wait_until_healthy(server.url, timeout_seconds=10.0)
         yield {
             "workload": workload.name,
             "rules": len(rules),
             "baskets": baskets or [[item] for item in range(1, 9)],
-            "urls": {"threaded": threaded.url, "async": asynchronous.url},
+            "url": server.url,
         }
 
 
@@ -124,10 +117,7 @@ def _assert_clean(label: str, row) -> None:
     assert row.status_429 == 0, f"{label}: rate limiter engaged with no limit set"
 
 
-def _record(section: str, rows: dict, fixture: dict, **extra) -> None:
-    speedup = rows["async"].latency.queries_per_second / max(
-        rows["threaded"].latency.queries_per_second, 1e-9
-    )
+def _record(section: str, row, fixture: dict, **extra) -> None:
     update_serving_artifact(
         section,
         {
@@ -136,78 +126,56 @@ def _record(section: str, rows: dict, fixture: dict, **extra) -> None:
             "cpus": _cpus(),
             "assertion_active": _throughput_assert_active(),
             **extra,
-            "threaded": rows["threaded"].as_dict(),
-            "async": rows["async"].as_dict(),
-            "speedup_async_vs_threaded": round(speedup, 3),
+            "async": row.as_dict(),
         },
     )
     print_report(
-        f"{section} on {fixture['workload']} (async/threaded {speedup:.2f}x)",
-        [
-            {"frontend": label, **row.as_dict()}
-            for label, row in rows.items()
-        ],
-        columns=["frontend", "requests", "queries_per_second", "p50_ms", "p99_ms"],
+        f"{section} on {fixture['workload']}",
+        [row.as_dict()],
+        columns=["requests", "queries_per_second", "p50_ms", "p99_ms"],
     )
 
 
 @pytest.mark.benchmark(group="serving-load")
-def test_closed_loop_capacity(benchmark, frontends):
+def test_closed_loop_capacity(benchmark, served):
     """32 keep-alive clients, one request in flight each: sustained q/s."""
 
-    def drive() -> dict:
-        return {
-            label: run_load(
-                url,
-                mode="closed",
-                clients=CLOSED_CLIENTS,
-                seconds=RUN_SECONDS,
-                baskets=frontends["baskets"],
-                warmup_seconds=WARMUP_SECONDS,
-            )
-            for label, url in frontends["urls"].items()
-        }
-
-    rows = benchmark.pedantic(drive, rounds=1)
-    for label, row in rows.items():
-        _assert_clean(f"closed/{label}", row)
-    _record("closed_loop", rows, frontends, clients=CLOSED_CLIENTS, seconds=RUN_SECONDS)
-
-    if _throughput_assert_active():
-        async_qps = rows["async"].latency.queries_per_second
-        threaded_qps = rows["threaded"].latency.queries_per_second
-        assert async_qps >= threaded_qps, (
-            f"async front end sustained {async_qps:.0f} q/s under "
-            f"{CLOSED_CLIENTS} keep-alive clients vs threaded "
-            f"{threaded_qps:.0f} q/s on {_cpus()} cores"
+    def drive():
+        return run_load(
+            served["url"],
+            mode="closed",
+            clients=CLOSED_CLIENTS,
+            seconds=RUN_SECONDS,
+            baskets=served["baskets"],
+            warmup_seconds=WARMUP_SECONDS,
         )
+
+    row = benchmark.pedantic(drive, rounds=1)
+    _assert_clean("closed", row)
+    _record("closed_loop", row, served, clients=CLOSED_CLIENTS, seconds=RUN_SECONDS)
 
 
 @pytest.mark.benchmark(group="serving-load")
-def test_open_loop_latency(benchmark, frontends):
+def test_open_loop_latency(benchmark, served):
     """Fixed arrival rate under capacity: tail latency with no self-pacing."""
 
-    def drive() -> dict:
-        return {
-            label: run_load(
-                url,
-                mode="open",
-                clients=OPEN_CLIENTS,
-                rate=OPEN_RATE,
-                seconds=RUN_SECONDS,
-                baskets=frontends["baskets"],
-                warmup_seconds=WARMUP_SECONDS,
-            )
-            for label, url in frontends["urls"].items()
-        }
+    def drive():
+        return run_load(
+            served["url"],
+            mode="open",
+            clients=OPEN_CLIENTS,
+            rate=OPEN_RATE,
+            seconds=RUN_SECONDS,
+            baskets=served["baskets"],
+            warmup_seconds=WARMUP_SECONDS,
+        )
 
-    rows = benchmark.pedantic(drive, rounds=1)
-    for label, row in rows.items():
-        _assert_clean(f"open/{label}", row)
+    row = benchmark.pedantic(drive, rounds=1)
+    _assert_clean("open", row)
     _record(
         "open_loop",
-        rows,
-        frontends,
+        row,
+        served,
         clients=OPEN_CLIENTS,
         rate_per_second=OPEN_RATE,
         seconds=RUN_SECONDS,

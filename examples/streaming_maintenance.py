@@ -21,7 +21,6 @@ import time
 from repro import (
     AprioriMiner,
     RuleMaintainer,
-    SkipEstimator,
     SyntheticConfig,
     SyntheticDataGenerator,
 )
@@ -47,9 +46,7 @@ def main() -> None:
     original, stream = SyntheticDataGenerator(config).generate()
     nightly = max(1, len(stream) // DAYS)
 
-    # The DELI-style pre-check skips FUP rounds that provably cannot change
-    # the large-itemset collection; the final assert shows it is lossless.
-    maintainer = RuleMaintainer(MIN_SUPPORT, MIN_CONFIDENCE, skip_estimator=SkipEstimator())
+    maintainer = RuleMaintainer(MIN_SUPPORT, MIN_CONFIDENCE)
     began = time.perf_counter()
     maintainer.initialise(original)
     initial_seconds = time.perf_counter() - began
@@ -85,7 +82,6 @@ def main() -> None:
                 "loaded": report.inserted_transactions,
                 "db_size": report.database_size,
                 "fup_seconds": fup_seconds,
-                "skipped": "yes" if report.skipped else "",
                 "rules": len(maintainer.rules),
                 "rules_added": len(report.rules_added),
                 "rules_removed": len(report.rules_removed),
@@ -100,11 +96,6 @@ def main() -> None:
     assert maintainer.result.lattice.supports() == final.lattice.supports()
 
     print()
-    stats = maintainer.skip_estimator.stats
-    print(
-        f"skip pre-check: {stats.rounds_skipped}/{stats.rounds_checked} "
-        f"round(s) skipped without touching the lattice"
-    )
     print(f"cumulative maintenance cost with FUP:        {incremental_seconds:.2f}s")
     print(f"cumulative cost of re-mining every night:    {naive_seconds:.2f}s")
     print(f"saving from incremental maintenance:         {naive_seconds / max(incremental_seconds, 1e-9):.1f}x")

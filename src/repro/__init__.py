@@ -85,8 +85,6 @@ from .core import (
     MaintenanceSession,
     RuleMaintainer,
     SessionStatus,
-    SkipEstimator,
-    SkipStats,
     SlidingWindowPolicy,
     TimeDecayPolicy,
     TopKPolicy,
@@ -97,7 +95,7 @@ from .core import (
     update_with_fup,
     update_with_fup2,
 )
-from .serve import AsyncRuleServer, RuleServer, RuleSnapshot, RuleStore, SessionFeed
+from .serve import AsyncRuleServer, RuleSnapshot, RuleStore, SessionFeed
 from .datagen import (
     SyntheticConfig,
     SyntheticDataGenerator,
@@ -173,8 +171,6 @@ __all__ = [
     "SlidingWindowPolicy",
     "TimeDecayPolicy",
     "TopKPolicy",
-    "SkipEstimator",
-    "SkipStats",
     "parse_policy",
     "policy_from_dict",
     "read_session_state",
@@ -184,7 +180,6 @@ __all__ = [
     "AsyncRuleServer",
     "RuleSnapshot",
     "RuleStore",
-    "RuleServer",
     "SessionFeed",
     # datagen
     "SyntheticConfig",

@@ -37,13 +37,11 @@ shell, each as a subcommand:
     ``/itemset``, ``/health``): either mine a transaction file and serve the
     result, or serve from a durable session directory — polling it (without
     the writer lock) so batches applied by other processes show up as new
-    snapshot versions while the server keeps answering.  ``--frontend``
-    picks the transport: ``threaded`` (stdlib, one thread per connection)
-    or ``async`` (one asyncio event loop, keep-alive + batched ``POST
-    /recommend``, a version-keyed response cache via ``--cache-size``,
-    per-client token-bucket rate limiting via ``--rate-limit`` /
-    ``--rate-burst``, and bounded-connection backpressure via
-    ``--max-connections``).
+    snapshot versions while the server keeps answering.  The front end is
+    one asyncio event loop: keep-alive + batched ``POST /recommend``, a
+    version-keyed response cache via ``--cache-size``, per-client
+    token-bucket rate limiting via ``--rate-limit`` / ``--rate-burst``, and
+    bounded-connection backpressure via ``--max-connections``.
 ``snapshot inspect | migrate``
     Operate on binary snapshot files: ``inspect`` prints the header fields of
     a v1 or v2 snapshot without loading the transactions (exit 2 on a corrupt
@@ -62,9 +60,8 @@ shell, each as a subcommand:
     Compose ingest → maintain → serve over one session directory: the same
     intake loop, with the rule store subscribed to the session's
     maintainer so every applied micro-batch republishes the served
-    snapshot immediately (no polling lag), and an HTTP front end
-    (``--frontend threaded|async``) answering ``/rules``, ``/recommend``
-    and ``/health`` the whole time.
+    snapshot immediately (no polling lag), and the HTTP front end answering
+    ``/rules``, ``/recommend`` and ``/health`` the whole time.
 ``session init | apply | status | checkpoint``
     The durable flavour of ``maintain``: a
     :class:`~repro.core.session.MaintenanceSession` persisted to a session
@@ -88,13 +85,13 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .core.fup import FupUpdater
-from .core.maintenance import RuleMaintainer
+from .core.maintenance import MaintenanceReport, RuleMaintainer
 from .core.options import FupOptions
-from .core.policy import SkipEstimator, parse_policy
+from .core.policy import parse_policy
 from .core.session import (
     DEFAULT_CHECKPOINT_INTERVAL,
     MaintenanceSession,
@@ -124,6 +121,8 @@ from .mining.backends import (
 )
 from .mining.dhp import DhpMiner, DhpOptions
 from .mining.rules import generate_rules
+from .serve.async_server import DEFAULT_MAX_CONNECTIONS
+from .serve.cache import DEFAULT_CACHE_SIZE
 
 __all__ = ["main", "build_parser"]
 
@@ -247,33 +246,55 @@ def _cmd_update(args: argparse.Namespace) -> int:
 
 
 def _session_policy_overrides(session, args: argparse.Namespace) -> None:
-    """Apply ``--policy`` / ``--skip-check`` overrides to an opened session.
+    """Apply a ``--policy`` override to an opened session.
 
-    Flags left alone keep whatever the session manifest says; a passed flag
-    durably switches the setting (``--policy unbounded`` resets the policy).
+    Left alone, the session keeps the policy its manifest records; a passed
+    flag durably switches it (``--policy unbounded`` resets the policy).
     """
-    if args.policy is None and not args.skip_check:
-        return
-    session.set_policy(
-        parse_policy(args.policy) if args.policy is not None else None,
-        skip_check=True if args.skip_check else None,
-    )
+    if args.policy is not None:
+        session.set_policy(parse_policy(args.policy))
 
 
-def _print_policy_summary(maintainer: RuleMaintainer, evicted: int, skipped: int) -> None:
-    """One policy/skip line after a maintain or apply run (when informative)."""
-    if maintainer.policy.name != "unbounded" or maintainer.skip_estimator is not None:
+def _apply_batches(
+    apply: Callable[[UpdateBatch], MaintenanceReport],
+    batches: Iterable[UpdateBatch],
+    column: str,
+    key: Callable[[MaintenanceReport], object],
+) -> tuple[list[dict[str, object]], float, int]:
+    """Apply *batches* one by one, timing each (``maintain`` and ``session apply``).
+
+    Returns the table rows (first column *column*, valued ``key(report)``),
+    the total apply seconds and the transactions the policy evicted.
+    """
+    rows: list[dict[str, object]] = []
+    total_seconds = 0.0
+    evicted = 0
+    for batch in batches:
+        began = time.perf_counter()
+        report = apply(batch)
+        seconds = time.perf_counter() - began
+        total_seconds += seconds
+        evicted += report.evicted_transactions
+        rows.append(
+            {
+                column: key(report),
+                "algorithm": report.algorithm,
+                "seconds": round(seconds, 4),
+                "size": report.database_size,
+                "itemsets +/-": f"+{len(report.itemsets_added)}/-{len(report.itemsets_removed)}",
+                "rules +/-/~": f"+{len(report.rules_added)}/-{len(report.rules_removed)}"
+                f"/~{len(report.rules_updated)}",
+            }
+        )
+    return rows, total_seconds, evicted
+
+
+def _print_policy_summary(maintainer: RuleMaintainer, evicted: int) -> None:
+    """One policy line after a maintain or apply run (none when unbounded)."""
+    if maintainer.policy.name != "unbounded":
         line = f"policy: {maintainer.policy.describe()}"
         if evicted:
             line += f", {evicted} transaction(s) evicted"
-        if maintainer.skip_estimator is not None:
-            stats = maintainer.skip_estimator.stats
-            line += (
-                f"; skip-check: {stats.rounds_skipped}/{stats.rounds_checked} "
-                f"round(s) skipped"
-            )
-        elif skipped:
-            line += f"; {skipped} round(s) skipped"
         print(line)
 
 
@@ -288,35 +309,17 @@ def _cmd_maintain(args: argparse.Namespace) -> int:
         miner=args.miner,
         fup_options=_fup_options(args),
         policy=parse_policy(args.policy),
-        skip_estimator=SkipEstimator() if args.skip_check else None,
     )
     began = time.perf_counter()
     maintainer.initialise(original)
     initial_seconds = time.perf_counter() - began
 
-    rows: list[dict[str, object]] = []
-    total_seconds = 0.0
-    evicted_total = 0
-    skipped_total = 0
-    for batch in _batched_updates(
-        increment, deletions, args.batches, label=lambda index: f"batch-{index}"
-    ):
-        began = time.perf_counter()
-        report = maintainer.apply(batch)
-        seconds = time.perf_counter() - began
-        total_seconds += seconds
-        evicted_total += report.evicted_transactions
-        skipped_total += report.skipped
-        rows.append(
-            {
-                "batch": report.batch_label,
-                "algorithm": report.algorithm,
-                "seconds": round(seconds, 4),
-                "size": report.database_size,
-                "itemsets +/-": f"+{len(report.itemsets_added)}/-{len(report.itemsets_removed)}",
-                "rules +/-/~": f"+{len(report.rules_added)}/-{len(report.rules_removed)}/~{len(report.rules_updated)}",
-            }
-        )
+    rows, total_seconds, evicted = _apply_batches(
+        maintainer.apply,
+        _batched_updates(increment, deletions, args.batches, label=lambda index: f"batch-{index}"),
+        "batch",
+        lambda report: report.batch_label,
+    )
     print(
         format_table(
             rows,
@@ -331,7 +334,7 @@ def _cmd_maintain(args: argparse.Namespace) -> int:
         f"{maintainer.update_log.total_deletions} deletions in {total_seconds:.3f}s; "
         f"{len(maintainer.large_itemsets)} large itemsets, {len(maintainer.rules)} rules"
     )
-    _print_policy_summary(maintainer, evicted_total, skipped_total)
+    _print_policy_summary(maintainer, evicted)
     if args.out_state:
         save_state(maintainer.result, args.out_state)
         print(f"wrote final itemset state to {args.out_state}")
@@ -349,7 +352,6 @@ def _cmd_session_init(args: argparse.Namespace) -> int:
         fup_options=_fup_options(args),
         checkpoint_interval=args.checkpoint_interval,
         policy=parse_policy(args.policy),
-        skip_check=args.skip_check,
     ) as session:
         status = session.status()
     print(
@@ -357,9 +359,8 @@ def _cmd_session_init(args: argparse.Namespace) -> int:
         f"transactions, {status.itemsets} large itemsets, {status.rules} rules "
         f"(checkpoint every {status.checkpoint_interval} batches)"
     )
-    if status.policy != "unbounded" or status.skip is not None:
-        skip_note = "" if status.skip is None else "; skip-check on"
-        print(f"policy: {status.policy}{skip_note}")
+    if status.policy != "unbounded":
+        print(f"policy: {status.policy}")
     return 0
 
 
@@ -373,33 +374,17 @@ def _cmd_session_apply(args: argparse.Namespace) -> int:
         recovered = session.pending_batches
         _session_policy_overrides(session, args)
         start_seq = session.applied_seq
-        rows: list[dict[str, object]] = []
-        total_seconds = 0.0
-        evicted_total = 0
-        skipped_total = 0
-        for batch in _batched_updates(
-            insertions,
-            deletions,
-            args.batches,
-            label=lambda index: args.label or f"batch-{start_seq + index + 1}",
-        ):
-            began = time.perf_counter()
-            report = session.apply(batch)
-            seconds = time.perf_counter() - began
-            total_seconds += seconds
-            evicted_total += report.evicted_transactions
-            skipped_total += report.skipped
-            rows.append(
-                {
-                    "seq": session.applied_seq,
-                    "algorithm": report.algorithm,
-                    "seconds": round(seconds, 4),
-                    "size": report.database_size,
-                    "itemsets +/-": f"+{len(report.itemsets_added)}/-{len(report.itemsets_removed)}",
-                    "rules +/-/~": f"+{len(report.rules_added)}/-{len(report.rules_removed)}"
-                    f"/~{len(report.rules_updated)}",
-                }
-            )
+        rows, total_seconds, evicted = _apply_batches(
+            session.apply,
+            _batched_updates(
+                insertions,
+                deletions,
+                args.batches,
+                label=lambda index: args.label or f"batch-{start_seq + index + 1}",
+            ),
+            "seq",
+            lambda report: session.applied_seq,
+        )
         status = session.status()
         maintainer = session.maintainer
     print(
@@ -416,14 +401,14 @@ def _cmd_session_apply(args: argparse.Namespace) -> int:
         f"{status.pending_batches} journaled); {status.database_size} transactions, "
         f"{status.itemsets} itemsets, {status.rules} rules"
     )
-    _print_policy_summary(maintainer, evicted_total, skipped_total)
+    _print_policy_summary(maintainer, evicted)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
-    from .serve import AsyncRuleServer, RuleServer, RuleStore, SessionFeed
+    from .serve import AsyncRuleServer, RuleStore, SessionFeed
 
     if bool(args.session) == bool(args.database):
         print(
@@ -431,31 +416,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.frontend != "async":
-        # Cache, rate limiting and the connection bound are features of the
-        # asyncio front end; silently accepting them for the threaded one
-        # would make the limits *look* applied.
-        async_only = [
-            flag
-            for flag, value in (
-                ("--cache-size", args.cache_size),
-                ("--rate-limit", args.rate_limit),
-                ("--rate-burst", args.rate_burst),
-                ("--max-connections", args.max_connections),
-            )
-            if value is not None
-        ]
-        if async_only:
-            print(
-                f"error: {', '.join(async_only)} only apply to the asyncio "
-                f"front end; add --frontend async",
-                file=sys.stderr,
-            )
-            return 2
     if args.rate_burst is not None and args.rate_limit is None:
         print("error: --rate-burst needs --rate-limit", file=sys.stderr)
         return 2
-    if args.cache_size is not None and args.cache_size < 0:
+    if args.cache_size < 0:
         print(f"error: --cache-size must be >= 0, got {args.cache_size}", file=sys.stderr)
         return 2
     if args.rate_limit is not None and args.rate_limit <= 0:
@@ -541,7 +505,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             miner=args.miner or "apriori",
             fup_options=FupOptions.from_mining(
                 MiningOptions(
-                    backend=args.backend or "horizontal",
+                    backend=args.backend or "vertical",
                     shards=DEFAULT_SHARDS if args.shards is None else args.shards,
                     executor=args.executor or "threads",
                     workers=args.workers,
@@ -553,27 +517,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         maintainer.initialise(load_database(args.database))
 
     try:
-        if args.frontend == "async":
-            from .serve.async_server import DEFAULT_MAX_CONNECTIONS
-            from .serve.cache import DEFAULT_CACHE_SIZE
-
-            server = AsyncRuleServer(
-                store,
-                host=args.host,
-                port=args.port,
-                cache_size=(
-                    DEFAULT_CACHE_SIZE if args.cache_size is None else args.cache_size
-                ),
-                rate_limit=args.rate_limit,
-                rate_burst=args.rate_burst,
-                max_connections=(
-                    DEFAULT_MAX_CONNECTIONS
-                    if args.max_connections is None
-                    else args.max_connections
-                ),
-            )
-        else:
-            server = RuleServer(store, host=args.host, port=args.port)
+        server = AsyncRuleServer(
+            store,
+            host=args.host,
+            port=args.port,
+            cache_size=args.cache_size,
+            rate_limit=args.rate_limit,
+            rate_burst=args.rate_burst,
+            max_connections=args.max_connections,
+        )
     except OSError as exc:
         print(f"error: cannot serve on {args.host}:{args.port}: {exc}", file=sys.stderr)
         if maintainer is not None:
@@ -582,8 +534,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if feed is not None:
         feed.start()
     print(
-        f"serving rules on {server.url} via the {args.frontend} front end "
-        f"({store.snapshot().describe()})",
+        f"serving rules on {server.url} ({store.snapshot().describe()})",
         flush=True,
     )
     timer = None
@@ -637,8 +588,6 @@ def _print_intake_batch(report) -> None:
     evicted = getattr(report.report, "evicted_transactions", 0)
     if evicted:
         line += f", {evicted} evicted"
-    if getattr(report.report, "skipped", False):
-        line += " (round skipped)"
     print(line, flush=True)
 
 
@@ -684,7 +633,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     from .ingest import MicroBatcher, open_event_stream, run_ingest
-    from .serve import AsyncRuleServer, RuleServer, RuleStore
+    from .serve import AsyncRuleServer, RuleStore
 
     args.follow = not args.once
     bad = _check_ingest_flags(args)
@@ -700,10 +649,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             store = RuleStore()
             store.attach(session.maintainer)
             try:
-                if args.frontend == "async":
-                    server = AsyncRuleServer(store, host=args.host, port=args.port)
-                else:
-                    server = RuleServer(store, host=args.host, port=args.port)
+                server = AsyncRuleServer(store, host=args.host, port=args.port)
             except OSError as exc:
                 print(
                     f"error: cannot serve on {args.host}:{args.port}: {exc}",
@@ -712,8 +658,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                 return 2
             server.start()
             print(
-                f"pipeline serving on {server.url} via the {args.frontend} front "
-                f"end ({store.snapshot().describe()}); ingesting {args.source}",
+                f"pipeline serving on {server.url} "
+                f"({store.snapshot().describe()}); ingesting {args.source}",
                 flush=True,
             )
             try:
@@ -1087,8 +1033,8 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument(
             "--backend",
             choices=list(BACKEND_NAMES),
-            default="horizontal",
-            help="support-counting engine (default: horizontal hash-tree scan)",
+            default="vertical",
+            help="support-counting engine (default: vertical tid-list bitmaps)",
         )
         subparser.add_argument(
             "--shards",
@@ -1127,12 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="maintenance policy: unbounded (default), window:W "
             "(sliding window of W transactions), decay:HALFLIFE "
             "(time-decayed support), or topk:K (serve only the K best rules)",
-        )
-        subparser.add_argument(
-            "--skip-check",
-            action="store_true",
-            help="run the DELI-style sampling pre-check and skip FUP rounds "
-            "that provably cannot change the large-itemset collection",
         )
 
     generate = commands.add_parser("generate", help="generate a synthetic Tx.Iy.Dm.dn workload")
@@ -1216,7 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend",
         choices=list(BACKEND_NAMES),
-        help="support-counting engine (database mode; default horizontal)",
+        help="support-counting engine (database mode; default vertical)",
     )
     serve.add_argument(
         "--shards",
@@ -1246,42 +1186,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8000, help="bind port (0 picks an ephemeral port)"
     )
     serve.add_argument(
-        "--frontend",
-        choices=["threaded", "async"],
-        default="threaded",
-        help="HTTP front end: stdlib thread-per-request, or the asyncio "
-        "event loop with keep-alive batching, response cache, rate limiting "
-        "and connection backpressure",
-    )
-    # Async-only knobs default to None so the threaded front end can refuse
-    # them instead of silently ignoring limits that are not being enforced.
-    serve.add_argument(
         "--cache-size",
         type=int,
+        default=DEFAULT_CACHE_SIZE,
         metavar="N",
-        help="response-cache entry bound (async front end; default 1024, "
-        "0 disables caching)",
+        help="response-cache entry bound (0 disables caching)",
     )
     serve.add_argument(
         "--rate-limit",
         type=float,
         metavar="R",
         help="per-client request rate in requests/second; over-limit "
-        "requests get 429 + Retry-After (async front end; default off)",
+        "requests get 429 + Retry-After (default off)",
     )
     serve.add_argument(
         "--rate-burst",
         type=float,
         metavar="B",
-        help="token-bucket burst capacity (async front end; default: one "
-        "second of --rate-limit, at least 1)",
+        help="token-bucket burst capacity (default: one second of "
+        "--rate-limit, at least 1)",
     )
     serve.add_argument(
         "--max-connections",
         type=positive_int,
+        default=DEFAULT_MAX_CONNECTIONS,
         metavar="M",
         help="concurrent-connection bound; excess connections are rejected "
-        "immediately with 503 (async front end; default 1024)",
+        "immediately with 503",
     )
     serve.add_argument(
         "--refresh",
@@ -1418,12 +1349,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--host", default="127.0.0.1", help="bind address")
     pipeline.add_argument(
         "--port", type=int, default=8000, help="bind port (0 picks an ephemeral port)"
-    )
-    pipeline.add_argument(
-        "--frontend",
-        choices=["threaded", "async"],
-        default="threaded",
-        help="HTTP front end serving the maintained rules while ingesting",
     )
     pipeline.set_defaults(handler=_cmd_pipeline)
 

@@ -12,8 +12,7 @@
 * :class:`~repro.core.options.FupOptions` — feature switches used by the
   ablation benchmarks.
 * :mod:`repro.core.policy` — maintenance policies (sliding window, time
-  decay, top-k) plus the DELI-style :class:`~repro.core.policy.SkipEstimator`
-  pre-check; every batch a maintainer applies is planned through one.
+  decay, top-k); every batch a maintainer applies is planned through one.
 """
 
 from .options import FupOptions
@@ -23,8 +22,6 @@ from .maintenance import MaintenanceReport, RuleMaintainer
 from .policy import (
     MaintenancePlan,
     MaintenancePolicy,
-    SkipEstimator,
-    SkipStats,
     SlidingWindowPolicy,
     TimeDecayPolicy,
     TopKPolicy,
@@ -54,8 +51,6 @@ __all__ = [
     "SlidingWindowPolicy",
     "TimeDecayPolicy",
     "TopKPolicy",
-    "SkipEstimator",
-    "SkipStats",
     "parse_policy",
     "policy_from_dict",
     "MaintenanceSession",

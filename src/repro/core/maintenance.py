@@ -40,7 +40,7 @@ from ..mining.rules import (
 from .fup import FupUpdater
 from .fup2 import Fup2Updater
 from .options import FupOptions
-from .policy import MaintenancePolicy, SkipEstimator, UnboundedPolicy
+from .policy import MaintenancePolicy, UnboundedPolicy
 
 __all__ = ["MaintenanceReport", "RuleMaintainer"]
 
@@ -73,11 +73,6 @@ class MaintenanceReport:
     evicted_transactions: int = 0
     #: Caller insertions the policy dropped before counting (window overflow).
     trimmed_insertions: int = 0
-    #: True when the skip estimator certified the round and FUP never ran.
-    skipped: bool = False
-    #: Cumulative :class:`~repro.core.policy.SkipStats` counters (None when
-    #: the maintainer runs without a skip estimator).
-    skip_stats: dict[str, int] | None = None
 
     @property
     def itemsets_changed(self) -> bool:
@@ -104,7 +99,6 @@ class MaintenanceReport:
             "rules_updated": len(self.rules_updated),
             "policy": self.policy,
             "evicted": self.evicted_transactions,
-            "skipped": self.skipped,
         }
 
 
@@ -136,11 +130,6 @@ class RuleMaintainer:
         The planner may synthesise evictions (sliding window, time decay)
         or bound the served rule list (top-k); the maintained lattice is
         always exact for whatever the policy retains.
-    skip_estimator:
-        Optional :class:`~repro.core.policy.SkipEstimator`.  When set,
-        insert-only batches run its DELI-style pre-check first and the FUP
-        round is skipped whenever the check certifies the large-itemset
-        collection cannot change.
     """
 
     def __init__(
@@ -151,7 +140,6 @@ class RuleMaintainer:
         fup_options: FupOptions | None = None,
         remine_increment_factor: float | None = None,
         policy: MaintenancePolicy | None = None,
-        skip_estimator: SkipEstimator | None = None,
     ) -> None:
         self.min_support = validate_min_support(min_support)
         # The same validator generate_rules uses, so the two entry points
@@ -168,7 +156,6 @@ class RuleMaintainer:
             )
         self.remine_increment_factor = remine_increment_factor
         self.policy: MaintenancePolicy = policy or UnboundedPolicy()
-        self.skip_estimator = skip_estimator
 
         self._database: TransactionDatabase | None = None
         self._result: MiningResult | None = None
@@ -351,10 +338,8 @@ class RuleMaintainer:
         Every non-empty batch is first routed through the configured
         :class:`~repro.core.policy.MaintenancePolicy` planner, which may
         trim insertions and synthesise evictions (handled as deletions by
-        FUP2).  Insert-only batches use FUP — unless a skip estimator is
-        configured and certifies the round cannot change the large-itemset
-        collection, in which case the updated counts are installed without
-        running it.  Batches with deletions use the FUP2-style updater.
+        FUP2).  Insert-only batches use FUP; batches with deletions use the
+        FUP2-style updater.
         Empty batches short-circuit to a no-op report *before* planning:
         the unchanged lattice is not re-derived into rules, nothing is
         recorded in the update log (so durable-session journals stay free
@@ -373,7 +358,6 @@ class RuleMaintainer:
                 database_size=len(database),
                 result=previous,
                 policy=self.policy.describe(),
-                skip_stats=self._skip_stats(),
             )
 
         plan = self.policy.plan(batch, database)
@@ -382,8 +366,6 @@ class RuleMaintainer:
         previous_rules = list(self._rules)
         previous_itemsets = set(previous.lattice.itemsets())
 
-        skipped = False
-        skip_checked = False
         if effective.deletions:
             self.validate_batch(effective)
             new_result = self._fup2_updater.update(
@@ -400,19 +382,7 @@ class RuleMaintainer:
                 new_result = self._full_mine(updated)
                 algorithm = f"remine-{self.miner_name}"
             else:
-                new_result = None
-                if self.skip_estimator is not None:
-                    skip_checked = True
-                    new_result = self.skip_estimator.evaluate(
-                        database,
-                        previous,
-                        increment,
-                        self.min_support,
-                        self._fup_updater.backend,
-                    )
-                    skipped = new_result is not None
-                if new_result is None:
-                    new_result = self._fup_updater.update(database, previous, increment)
+                new_result = self._fup_updater.update(database, previous, increment)
                 algorithm = new_result.algorithm
 
         # Mutate the maintained database only after the updater succeeded, so a
@@ -432,10 +402,6 @@ class RuleMaintainer:
         self.sequence += 1
 
         new_itemsets = set(new_result.lattice.itemsets())
-        if skip_checked and not skipped and new_itemsets != previous_itemsets:
-            # A checked-but-forced round whose collection really changed —
-            # the denominator for auditing the estimator's predictions.
-            self.skip_estimator.stats.actual_change += 1  # type: ignore[union-attr]
         rules_diff = diff_rules(previous_rules, self._rules)
         report = MaintenanceReport(
             batch_label=batch.label,
@@ -452,21 +418,9 @@ class RuleMaintainer:
             policy=self.policy.describe(),
             evicted_transactions=plan.evicted,
             trimmed_insertions=plan.trimmed_insertions,
-            skipped=skipped,
-            skip_stats=self._skip_stats(),
         )
         self._publish()
         return report
-
-    def _skip_stats(self) -> dict[str, int] | None:
-        return self.skip_estimator.stats.as_dict() if self.skip_estimator else None
-
-    def policy_info(self) -> dict[str, object]:
-        """JSON-safe policy + skip description for status lines and ``/health``."""
-        info: dict[str, object] = dict(self.policy.info())
-        if self.skip_estimator is not None:
-            info["skip"] = self.skip_estimator.stats.as_dict()
-        return info
 
     def add_transactions(
         self, transactions: Iterable[Iterable[Item]], label: str = ""

@@ -18,12 +18,6 @@ decision out of the updaters, the session, and the CLI:
 * :class:`TopKPolicy` — bound the *served* rule set to the ``k`` best by
   (confidence, support) so snapshots stay fixed-size as the database grows.
 
-Orthogonally, :class:`SkipEstimator` implements a DELI-style sampling
-pre-check for insert-only batches: estimate from a sample whether the
-increment can change the large-itemset collection at all, certify the
-estimate with one exact increment-only counting pass, and skip the FUP
-round entirely when the collection provably cannot change.
-
 Policies are **pure planners**: :meth:`MaintenancePolicy.plan` turns an
 incoming batch plus the current database into a :class:`MaintenancePlan`
 (the effective batch to run, including synthesised evictions) without
@@ -38,18 +32,16 @@ RPR050 enforces the purity contract.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..db.transaction_db import Transaction, TransactionDatabase
 from ..db.update import UpdateBatch
 from ..errors import PolicyError
-from ..mining.result import ItemsetLattice, MiningResult, required_support_count
+from ..mining.result import required_support_count
 
 if TYPE_CHECKING:
-    from ..mining.backends.base import CountingBackend
     from ..mining.rules import AssociationRule
 
 __all__ = [
@@ -59,8 +51,6 @@ __all__ = [
     "SlidingWindowPolicy",
     "TimeDecayPolicy",
     "TopKPolicy",
-    "SkipStats",
-    "SkipEstimator",
     "parse_policy",
     "policy_from_dict",
 ]
@@ -430,190 +420,3 @@ def parse_policy(spec: str | None) -> MaintenancePolicy:
     raise PolicyError(
         f"unknown policy {spec!r}; expected unbounded, window:W, decay:HALFLIFE or topk:K"
     )
-
-
-@dataclass
-class SkipStats:
-    """Counters the skip estimator accumulates across a session's lifetime.
-
-    ``estimated_change`` counts rounds where the *sample* predicted the
-    collection would change; ``actual_change`` counts checked-but-forced
-    rounds whose applied result really did change it.  Comparing the two
-    is how a deployment audits the estimator's precision.
-    """
-
-    rounds_checked: int = 0
-    rounds_skipped: int = 0
-    rounds_forced: int = 0
-    forced_by_gap: int = 0
-    forced_by_border: int = 0
-    forced_by_estimate: int = 0
-    forced_by_certification: int = 0
-    estimated_change: int = 0
-    actual_change: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Flat JSON-safe form (manifest persistence, reports, ``/health``)."""
-        return {field.name: getattr(self, field.name) for field in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "SkipStats":
-        """Inverse of :meth:`as_dict`; unknown keys are ignored."""
-        known = {field.name for field in fields(cls)}
-        return cls(**{key: int(value) for key, value in payload.items() if key in known})  # type: ignore[arg-type]
-
-
-class SkipEstimator:
-    """DELI-style pre-check: skip FUP rounds that provably change nothing.
-
-    For an insert-only batch of ``d`` transactions over a database of size
-    ``n`` the required support count rises from ``T = ⌈s·n⌉`` to
-    ``T' = ⌈s·(n+d)⌉``.  The round can be skipped when neither a
-    *promotion* (a small itemset becoming large) nor a *demotion* (a large
-    itemset falling under the new threshold) is possible:
-
-    **Promotions** — FUP's pruning lemma: an itemset small in ``DB`` can
-    only be large in ``DB ∪ db`` if it is large *within the increment*.
-    When ``d ≤ T' − T`` the threshold gap alone closes the door (an
-    untracked itemset holds ≤ ``T − 1`` and can gain at most ``d``).
-    Otherwise the increment — ``d`` rows, not ``n`` — is mined and the
-    untracked increment-large itemsets form the *promotion border*, which
-    by the lemma contains every possible promotion; an empty border means
-    no promotion exists, and a small one is certified with one exact
-    counting pass over the original database.
-
-    **Demotions** — a deterministic stride *sample* of the increment first
-    estimates each tracked itemset's gain (the DELI move: cheap evidence
-    before exact work); if the scaled estimate already predicts a demotion
-    the round is forced immediately.  Otherwise one exact counting pass
-    over the increment certifies ``old + gain ≥ T'`` for every tracked
-    itemset.
-
-    When every gate passes, the exact post-update lattice is the old one
-    with refreshed counts — installed directly, byte-identical to what the
-    forced FUP round would have produced.  The sample never decides to
-    *skip* on its own, only to force early, so soundness never rests on it.
-    """
-
-    DEFAULT_SAMPLE_SIZE = 64
-    #: Largest promotion border certified exactly; a wider border means the
-    #: increment is introducing genuinely new patterns, so running the real
-    #: FUP round is both safer and barely slower than certifying.
-    DEFAULT_BORDER_CAP = 256
-
-    def __init__(
-        self,
-        sample_size: int = DEFAULT_SAMPLE_SIZE,
-        border_cap: int = DEFAULT_BORDER_CAP,
-    ) -> None:
-        sample_size = int(sample_size)
-        if sample_size < 1:
-            raise PolicyError(f"sample size must be positive, got {sample_size}")
-        border_cap = int(border_cap)
-        if border_cap < 0:
-            raise PolicyError(f"border cap must be non-negative, got {border_cap}")
-        self.sample_size = sample_size
-        self.border_cap = border_cap
-        self.stats = SkipStats()
-
-    def evaluate(
-        self,
-        database: TransactionDatabase,
-        previous: MiningResult,
-        increment: TransactionDatabase,
-        min_support: float,
-        backend: "CountingBackend",
-    ) -> MiningResult | None:
-        """Return the exact post-update result when the round can be skipped.
-
-        ``None`` means "run the full FUP round"; a result means the update
-        provably leaves the large-itemset collection's membership unchanged
-        and the returned lattice already carries the exact updated counts.
-        """
-        began = time.perf_counter()
-        stats = self.stats
-        stats.rounds_checked += 1
-        original_size = len(database)
-        increment_size = len(increment)
-        if previous.lattice.database_size != original_size:
-            # Stale state is the updater's problem, not ours — force.
-            stats.rounds_forced += 1
-            stats.forced_by_gap += 1
-            return None
-        threshold_before = required_support_count(min_support, original_size)
-        threshold_after = required_support_count(min_support, original_size + increment_size)
-        gap_closed = increment_size <= threshold_after - threshold_before
-        tracked = previous.lattice.supports()
-        transactions_read = 0
-
-        # ---- demotion gates (cheap sample first, then exact) ---------- #
-        counts: dict = {}
-        if tracked:
-            rows = increment.transactions()
-            stride = max(1, -(-increment_size // self.sample_size))
-            sample = rows[::stride]
-            if 0 < len(sample) < increment_size:
-                sampled = backend.count_candidates(list(sample), list(tracked))
-                transactions_read += len(sample)
-                scale = increment_size / len(sample)
-                if any(
-                    old + sampled[candidate] * scale < threshold_after
-                    for candidate, old in tracked.items()
-                ):
-                    stats.estimated_change += 1
-                    stats.rounds_forced += 1
-                    stats.forced_by_estimate += 1
-                    return None
-            counts = backend.count_candidates(increment, list(tracked))
-            transactions_read += increment_size
-            if any(old + counts[candidate] < threshold_after for candidate, old in tracked.items()):
-                # The sample missed a demotion; the exact pass caught it.
-                stats.rounds_forced += 1
-                stats.forced_by_certification += 1
-                return None
-
-        # ---- promotion gates (lemma gap, then the increment's border) -- #
-        if not gap_closed:
-            from ..mining.apriori import AprioriMiner
-
-            increment_result = AprioriMiner(min_support).mine(increment)
-            transactions_read += increment_result.transactions_read
-            border = [
-                candidate
-                for candidate in increment_result.lattice.itemsets()
-                if candidate not in tracked
-            ]
-            if len(border) > self.border_cap:
-                stats.rounds_forced += 1
-                stats.forced_by_border += 1
-                return None
-            if border:
-                original_counts = backend.count_candidates(database, border)
-                transactions_read += original_size
-                if any(
-                    original_counts[candidate]
-                    + increment_result.lattice.support_count(candidate)
-                    >= threshold_after
-                    for candidate in border
-                ):
-                    # A genuinely new large itemset: the collection changes.
-                    stats.rounds_forced += 1
-                    stats.forced_by_border += 1
-                    return None
-
-        lattice = ItemsetLattice(database_size=original_size + increment_size)
-        for candidate, old in tracked.items():
-            lattice.add(candidate, old + counts[candidate])
-        level_counts = Counter(len(candidate) for candidate in tracked)
-        stats.rounds_skipped += 1
-        return MiningResult(
-            lattice=lattice,
-            min_support=min_support,
-            algorithm="fup-skip",
-            candidates_generated=len(tracked),
-            candidates_per_level={level: level_counts[level] for level in sorted(level_counts)},
-            database_scans=0,
-            increment_scans=1,
-            transactions_read=transactions_read,
-            elapsed_seconds=time.perf_counter() - began,
-        )

@@ -87,7 +87,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
 from ..db.store import load_database, write_snapshot
-from ..db.transaction_db import Transaction, TransactionDatabase
+from ..db.transaction_db import TransactionDatabase
 from ..db.update import UpdateBatch
 from ..errors import ReproError, StorageError
 from ..faults import crash_point
@@ -96,7 +96,7 @@ from ..mining.result import ItemsetLattice, MiningResult
 from ..mining.rules import AssociationRule
 from .maintenance import MaintenanceReport, MinerName, RuleMaintainer
 from .options import FupOptions
-from .policy import MaintenancePolicy, SkipEstimator, SkipStats, policy_from_dict
+from .policy import MaintenancePolicy, policy_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from ..ingest.ledger import IntakeLedger
@@ -379,8 +379,6 @@ class SessionStatus:
     kernel: str | None
     checkpoint_interval: int
     policy: str = "unbounded"
-    #: Cumulative skip-estimator counters; ``None`` when ``--skip-check`` is off.
-    skip: dict[str, int] | None = None
 
     @property
     def pending_batches(self) -> int:
@@ -389,7 +387,7 @@ class SessionStatus:
 
     def as_dict(self) -> dict[str, object]:
         """Flat dictionary form used by the CLI and the harness reports."""
-        payload: dict[str, object] = {
+        return {
             "directory": self.directory,
             "checkpoint_seq": self.checkpoint_seq,
             "applied_seq": self.applied_seq,
@@ -408,10 +406,6 @@ class SessionStatus:
             "checkpoint_interval": self.checkpoint_interval,
             "policy": self.policy,
         }
-        if self.skip is not None:
-            for key, value in self.skip.items():
-                payload[f"skip_{key}"] = value
-        return payload
 
 
 # --------------------------------------------------------------------- #
@@ -462,15 +456,13 @@ class MaintenanceSession:
         fup_options: FupOptions | None = None,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         policy: MaintenancePolicy | None = None,
-        skip_check: bool = False,
     ) -> "MaintenanceSession":
         """Mine *database* and persist the result as a new session.
 
         The directory is created if needed; it must not already hold a
         session manifest.  *policy* selects the maintenance policy every
         batch is planned through (persisted in the manifest, restored on
-        recovery; default unbounded); *skip_check* enables the DELI-style
-        skip estimator for insert-only batches.
+        recovery; default unbounded).
         """
         if checkpoint_interval < 1:
             raise ValueError(
@@ -491,7 +483,6 @@ class MaintenanceSession:
                 miner=miner,
                 fup_options=fup_options,
                 policy=policy,
-                skip_estimator=SkipEstimator() if skip_check else None,
             )
             maintainer.initialise(database)
             journal_path = directory / JOURNAL_NAME
@@ -578,19 +569,15 @@ class MaintenanceSession:
             )
         # Pre-policy manifests carry no "policy" entry: policy_from_dict
         # restores the unbounded default, which is what those sessions were
-        # running all along.
-        skip_estimator = None
-        if manifest.get("skip_check"):
-            skip_estimator = SkipEstimator()
-            stats_payload = manifest.get("skip_stats")
-            if stats_payload:
-                skip_estimator.stats = SkipStats.from_dict(stats_payload)
+        # running all along.  Manifests from sessions that ran the retired
+        # skip pre-check still carry "skip_check"/"skip_stats"; they are
+        # ignored, because a skipped round installed exactly the lattice the
+        # full FUP round would have, so replay without it is byte-identical.
         maintainer = RuleMaintainer(
             float(manifest["min_support"]),
             float(manifest["min_confidence"]),
             miner=manifest["miner"],
             policy=policy_from_dict(manifest.get("policy")),
-            skip_estimator=skip_estimator,
             fup_options=FupOptions(
                 backend=str(manifest["backend"]),
                 shards=int(manifest["shards"]),
@@ -736,11 +723,6 @@ class MaintenanceSession:
             kernel=maintainer.fup_options.kernel,
             checkpoint_interval=self._checkpoint_interval,
             policy=maintainer.policy.describe(),
-            skip=(
-                maintainer.skip_estimator.stats.as_dict()
-                if maintainer.skip_estimator is not None
-                else None
-            ),
         )
 
     @classmethod
@@ -772,11 +754,6 @@ class MaintenanceSession:
             kernel=manifest.get("kernel") or None,
             checkpoint_interval=int(manifest["checkpoint_interval"]),
             policy=policy_from_dict(manifest.get("policy")).describe(),
-            skip=(
-                SkipStats.from_dict(manifest.get("skip_stats") or {}).as_dict()
-                if manifest.get("skip_check")
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -884,44 +861,27 @@ class MaintenanceSession:
     # ------------------------------------------------------------------ #
     # Policy management
     # ------------------------------------------------------------------ #
-    def set_policy(
-        self,
-        policy: MaintenancePolicy | None = None,
-        *,
-        skip_check: bool | None = None,
-    ) -> MaintenanceReport | None:
-        """Durably switch the maintenance policy and/or the skip pre-check.
+    def set_policy(self, policy: MaintenancePolicy) -> MaintenanceReport | None:
+        """Durably switch the maintenance policy.
 
-        Arguments left at ``None`` keep their current setting.  The switch
-        checkpoints first (so every journaled record was planned under one
-        policy), persists the new policy in the manifest, then applies the
-        policy's admission trim — a bounded policy adopting an oversized
-        database evicts down to its bound through a normal journaled batch
-        (label ``"policy-switch"``), whose report is returned.  A crash
-        between the manifest commit and the trim leaves the new policy
-        active with the trim outstanding; the next applied batch's plan
-        re-evicts to the bound, so the session self-heals.
+        The switch checkpoints first (so every journaled record was planned
+        under one policy), persists the new policy in the manifest, then
+        applies the policy's admission trim — a bounded policy adopting an
+        oversized database evicts down to its bound through a normal
+        journaled batch (label ``"policy-switch"``), whose report is
+        returned.  A crash between the manifest commit and the trim leaves
+        the new policy active with the trim outstanding; the next applied
+        batch's plan re-evicts to the bound, so the session self-heals.
         """
         if self._closed:
             raise StorageError(f"session {self._directory} is closed")
-        if policy is None and skip_check is None:
-            return None
-        maintainer = self._maintainer
         self.checkpoint()
-        if skip_check is not None:
-            if skip_check:
-                if maintainer.skip_estimator is None:
-                    maintainer.skip_estimator = SkipEstimator()
-            else:
-                maintainer.skip_estimator = None
-        trim: tuple[Transaction, ...] = ()
-        if policy is not None:
-            maintainer.policy = policy
-            plan = policy.admit(maintainer.database)
-            # Install the admission bookkeeping (e.g. decay age segments)
-            # before the manifest write persists the policy's state.
-            policy.commit(plan)
-            trim = plan.batch.deletions
+        self._maintainer.policy = policy
+        plan = policy.admit(self._maintainer.database)
+        # Install the admission bookkeeping (e.g. decay age segments) before
+        # the manifest write persists the policy's state.
+        policy.commit(plan)
+        trim = plan.batch.deletions
         self._write_manifest(self._checkpoint_seq)
         if trim:
             return self.apply(UpdateBatch(deletions=trim, label="policy-switch"))
@@ -994,10 +954,7 @@ class MaintenanceSession:
             # recovery restores it and replays the journal tail through it,
             # re-planning each record's evictions deterministically.
             "policy": maintainer.policy.as_dict(),
-            "skip_check": maintainer.skip_estimator is not None,
         }
-        if maintainer.skip_estimator is not None:
-            payload["skip_stats"] = maintainer.skip_estimator.stats.as_dict()
         manifest_path = self._directory / MANIFEST_NAME
         manifest_tmp = manifest_path.with_suffix(".json.tmp")
         manifest_tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="ascii")

@@ -22,7 +22,6 @@ from .backends import (
 from .candidates import apriori_gen, generate_level_one_candidates, prune_by_subsets
 from .apriori import AprioriMiner, mine_apriori
 from .dhp import DhpMiner, DhpOptions, mine_dhp
-from .counting import count_candidates, count_items
 from .rules import (
     AssociationRule,
     generate_rules,
@@ -44,8 +43,6 @@ __all__ = [
     "DhpMiner",
     "DhpOptions",
     "mine_dhp",
-    "count_candidates",
-    "count_items",
     "BACKEND_NAMES",
     "EXECUTOR_NAMES",
     "CountingBackend",

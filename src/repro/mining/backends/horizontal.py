@@ -1,8 +1,7 @@
 """The horizontal (transaction-at-a-time) hash-tree counting engine.
 
 This is the classic Apriori counting pass — the ``Subset(C, T)`` primitive of
-Agrawal & Srikant driven over every transaction — extracted verbatim from the
-original ``repro.mining.counting`` scan loops.  It is the reference engine:
+Agrawal & Srikant driven over every transaction.  It is the reference engine:
 the one the paper's algorithms describe, the only one that can interleave
 per-transaction work (DHP trimming, FUP's Reduce-db/Reduce-DB) with the scan,
 and the baseline the vertical and partitioned engines are benchmarked

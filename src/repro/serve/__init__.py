@@ -11,21 +11,19 @@ keeps running.
 * :class:`~repro.serve.store.RuleStore` — the lock-free single-writer /
   many-reader seam: publication is one atomic reference swap, readers never
   lock and never observe a half-applied batch.
-* :class:`~repro.serve.http.RuleServer` — a stdlib ``ThreadingHTTPServer``
-  JSON endpoint (``/rules``, ``/recommend``, ``/itemset``, ``/health``)
-  behind the ``repro serve`` CLI subcommand.
-* :class:`~repro.serve.async_server.AsyncRuleServer` — the high-concurrency
-  asyncio front end over the same store and routes: keep-alive HTTP/1.1,
-  batched ``POST /recommend`` answered from one snapshot, a bounded LRU
-  response cache invalidated on publish, per-client token-bucket rate
-  limiting (429 + ``Retry-After``) and bounded-connection backpressure
-  (``repro serve --frontend async``).
+* :class:`~repro.serve.async_server.AsyncRuleServer` — the asyncio JSON/HTTP
+  front end (``/rules``, ``/recommend``, ``/itemset``, ``/health``) behind
+  the ``repro serve`` and ``repro pipeline`` CLI subcommands: keep-alive
+  HTTP/1.1, batched ``POST /recommend`` answered from one snapshot, a
+  bounded LRU response cache invalidated on publish, per-client
+  token-bucket rate limiting (429 + ``Retry-After``) and bounded-connection
+  backpressure.
 * :class:`~repro.serve.feed.SessionFeed` — keeps a store fresh from an
   on-disk :class:`~repro.core.session.MaintenanceSession` directory without
   ever taking the session's writer lock.
 
-Shared request semantics (routing, parsing, normalized response headers)
-live in :mod:`repro.serve.api`; the async front end's cache and limiter in
+Request semantics (routing, parsing, normalized response headers) live in
+:mod:`repro.serve.api`; the front end's cache and limiter in
 :mod:`repro.serve.cache` / :mod:`repro.serve.ratelimit`.
 
 See ``docs/serving.md`` for the snapshot/versioning model and the
@@ -35,7 +33,6 @@ consistency guarantees.
 from .async_server import AsyncRuleServer
 from .cache import ResponseCache
 from .feed import SessionFeed
-from .http import RuleServer
 from .ratelimit import RateLimiter, TokenBucket
 from .snapshot import Recommendation, RuleSnapshot
 from .store import RuleStore
@@ -45,7 +42,6 @@ __all__ = [
     "RateLimiter",
     "Recommendation",
     "ResponseCache",
-    "RuleServer",
     "RuleSnapshot",
     "RuleStore",
     "SessionFeed",

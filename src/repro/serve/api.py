@@ -1,12 +1,10 @@
-"""The front-end-agnostic request API shared by both HTTP servers.
+"""The transport-agnostic request API of the HTTP front end.
 
-Two front ends serve the same store — the stdlib threaded
-:class:`~repro.serve.http.RuleServer` and the asyncio
-:class:`~repro.serve.async_server.AsyncRuleServer` — and everything that is
-not transport plumbing lives here so their semantics cannot drift apart:
+Everything in :class:`~repro.serve.async_server.AsyncRuleServer` that is not
+transport plumbing lives here:
 
 * query parsing (:func:`parse_items`, :func:`parse_positive_int`) and the
-  :class:`BadRequest` error both front ends answer with a 400;
+  :class:`BadRequest` error the front end answers with a 400;
 * the GET routing table (:func:`route_query`): ``/health``, ``/rules``,
   ``/recommend`` and ``/itemset`` answered from exactly one snapshot read;
 * response normalization (:func:`encode_json`, :func:`response_headers`):
@@ -14,11 +12,6 @@ not transport plumbing lives here so their semantics cannot drift apart:
   ``Content-Type: application/json; charset=utf-8``, an exact
   ``Content-Length``, and an explicit ``Connection`` header, so keep-alive
   clients never have to guess whether the connection survives an error.
-
-Historically the threaded front end hand-rolled its headers: error bodies
-went out without a charset and no response ever said ``Connection:
-keep-alive`` explicitly, leaving HTTP/1.0-style clients to assume close.
-Centralising the header set here is the fix.
 """
 
 from __future__ import annotations
@@ -27,7 +20,6 @@ import json
 from http import HTTPStatus
 from typing import Iterable, Mapping
 
-from ..errors import EmptyDatabaseError
 from ..itemsets import Item
 from .snapshot import RuleSnapshot
 from .store import RuleStore
@@ -40,7 +32,6 @@ __all__ = [
     "parse_positive_int",
     "reason_phrase",
     "recommend_payload",
-    "respond",
     "response_headers",
     "route_query",
 ]
@@ -89,8 +80,7 @@ def response_headers(
 ) -> list[tuple[str, str]]:
     """The normalized header set for one JSON response.
 
-    Shared by both front ends so that success and error paths alike carry a
-    charset-qualified Content-Type, a Content-Length that matches the body
+    Success and error paths alike carry a charset-qualified Content-Type, a Content-Length that matches the body
     byte count exactly, and an explicit Connection disposition.
     """
     headers = [
@@ -129,7 +119,7 @@ def route_query(store: RuleStore, path: str, query: Mapping[str, str]) -> tuple[
     number even while a writer publishes mid-request.  Raises
     :class:`BadRequest` for malformed queries and
     :class:`~repro.errors.EmptyDatabaseError` when no snapshot is published
-    yet; front ends map those to 400 and 503.
+    yet; the front end maps those to 400 and 503.
     """
     if path == "/health":
         if not store.has_snapshot:
@@ -177,16 +167,3 @@ def route_query(store: RuleStore, path: str, query: Mapping[str, str]) -> tuple[
         }
     return 404, {"error": f"unknown endpoint {path!r}"}
 
-
-def respond(store: RuleStore, path: str, query: Mapping[str, str]) -> tuple[int, dict]:
-    """:func:`route_query` with the shared error mapping applied.
-
-    ``BadRequest`` becomes a 400 with an ``error`` body; an empty store
-    becomes the same 503 the ``/health`` route serves.
-    """
-    try:
-        return route_query(store, path, query)
-    except BadRequest as exc:
-        return 400, {"error": str(exc)}
-    except EmptyDatabaseError:
-        return 503, {"status": "empty", "version": None}

@@ -1,10 +1,10 @@
 """The high-concurrency asyncio front end over a lock-free rule store.
 
-The threaded :class:`~repro.serve.http.RuleServer` spends a thread per
-in-flight request; under hundreds of keep-alive clients that is hundreds of
-stacks and a scheduler fight for the GIL.  :class:`AsyncRuleServer` serves
-the same endpoints from **one event loop**: every connection is a coroutine,
-so concurrency costs a heap object instead of a thread, and the store's
+A thread-per-request server spends a thread per in-flight request; under
+hundreds of keep-alive clients that is hundreds of stacks and a scheduler
+fight for the GIL.  :class:`AsyncRuleServer` serves the endpoints from **one
+event loop**: every connection is a coroutine, so concurrency costs a heap
+object instead of a thread, and the store's
 lock-free snapshot contract means request handling never blocks on the
 writer.  On top of the shared routing (:mod:`repro.serve.api`) it adds what
 a front end facing real load needs:
@@ -28,9 +28,8 @@ a front end facing real load needs:
   closed, so overload degrades to fast rejections instead of an unbounded
   accept queue.
 
-The lifecycle mirrors :class:`~repro.serve.http.RuleServer` (``start`` /
-``serve_forever`` / ``shutdown`` / ``close``, context manager), so the CLI
-and tests can swap front ends behind one variable.
+The lifecycle is ``start`` / ``serve_forever`` / ``shutdown`` / ``close``,
+plus the context-manager protocol.
 """
 
 from __future__ import annotations
@@ -180,8 +179,7 @@ class AsyncRuleServer:
     """Asyncio keep-alive HTTP front end with cache, rate limit, backpressure.
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`port`);
-    bind errors raise here, in the constructor, exactly like the threaded
-    front end.  Use :meth:`start` for a background server (tests,
+    bind errors raise here, in the constructor.  Use :meth:`start` for a background server (tests,
     embedding) or :meth:`serve_forever` to run on the calling thread (the
     CLI).  ``rate_limit=None`` disables rate limiting, ``cache_size=0``
     disables the response cache.
@@ -221,7 +219,7 @@ class AsyncRuleServer:
         store.on_publish(self._invalidate)
 
     # ------------------------------------------------------------------ #
-    # Lifecycle (mirrors RuleServer)
+    # Lifecycle
     # ------------------------------------------------------------------ #
     @property
     def host(self) -> str:

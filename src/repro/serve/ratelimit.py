@@ -57,8 +57,8 @@ class RateLimiter:
     """A bounded map of per-client token buckets.
 
     Thread-safe: the async front end calls :meth:`check` from its event
-    loop, but the class does not assume a single caller so the threaded
-    front end (or tests) can share it.
+    loop, but the class does not assume a single caller, so tests can share
+    it across threads.
     """
 
     def __init__(

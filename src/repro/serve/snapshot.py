@@ -77,8 +77,8 @@ class RuleSnapshot:
         The thresholds the state was maintained at (served by ``/health``).
     policy:
         JSON-safe maintenance-policy description
-        (:meth:`~repro.core.maintenance.RuleMaintainer.policy_info` output:
-        policy spec, bounds, skip-estimator counters), served by ``/health``.
+        (:meth:`~repro.core.policy.MaintenancePolicy.info` output: policy
+        spec and bounds), served by ``/health``.
         ``None`` for snapshots built without a policy-aware publisher.
     """
 

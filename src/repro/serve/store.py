@@ -94,7 +94,7 @@ class RuleStore:
                 lattice=maintainer.result.lattice,
                 min_support=maintainer.min_support,
                 min_confidence=maintainer.min_confidence,
-                policy=maintainer.policy_info(),
+                policy=maintainer.policy.info(),
             )
         )
 

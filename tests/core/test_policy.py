@@ -1,7 +1,7 @@
 """Unit tests for the maintenance-policy layer (docs/maintenance-policies.md).
 
 The property suite (`tests/property/test_policy_properties.py`) pins the
-big invariants — window ≡ re-mine, skip soundness, decay monotonicity —
+big invariants — window ≡ re-mine, decay monotonicity, top-k bounds —
 across backends and kernels; this file covers the contract edges: spec
 parsing, manifest round trips, plan shapes, and the report/info surfaces.
 """
@@ -14,8 +14,6 @@ from repro import (
     AprioriMiner,
     PolicyError,
     RuleMaintainer,
-    SkipEstimator,
-    SkipStats,
     SlidingWindowPolicy,
     TimeDecayPolicy,
     TopKPolicy,
@@ -168,45 +166,6 @@ class TestTopK:
         )
 
 
-class TestSkipEstimator:
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(PolicyError):
-            SkipEstimator(sample_size=0)
-        with pytest.raises(PolicyError):
-            SkipEstimator(border_cap=-1)
-
-    def test_no_change_round_is_skipped_with_exact_counts(self):
-        estimator = SkipEstimator()
-        maintainer = RuleMaintainer(0.5, 0.5, skip_estimator=estimator)
-        maintainer.initialise(TransactionDatabase([[1, 2]] * 8 + [[3]] * 2))
-        report = maintainer.apply(UpdateBatch.from_iterables(insertions=[[1, 2]] * 2))
-        assert report.skipped
-        assert maintainer.result.algorithm == "fup-skip"
-        remined = AprioriMiner(0.5).mine(
-            TransactionDatabase(maintainer.database.transactions())
-        )
-        assert maintainer.result.lattice.supports() == remined.lattice.supports()
-        assert estimator.stats.rounds_checked == 1
-        assert estimator.stats.rounds_skipped == 1
-
-    def test_promotion_forces_the_round(self):
-        estimator = SkipEstimator()
-        maintainer = RuleMaintainer(0.5, 0.5, skip_estimator=estimator)
-        maintainer.initialise(TransactionDatabase([[1, 2]] * 6 + [[3]] * 4))
-        report = maintainer.apply(UpdateBatch.from_iterables(insertions=[[3]] * 4))
-        assert not report.skipped
-        assert estimator.stats.rounds_forced == 1
-        assert estimator.stats.actual_change == 1
-        assert maintainer.result.lattice.supports() == AprioriMiner(0.5).mine(
-            TransactionDatabase(maintainer.database.transactions())
-        ).lattice.supports()
-
-    def test_stats_round_trip(self):
-        stats = SkipStats(rounds_checked=3, rounds_skipped=2, forced_by_border=1)
-        assert SkipStats.from_dict(stats.as_dict()) == stats
-        assert SkipStats.from_dict({**stats.as_dict(), "future_field": 9}) == stats
-
-
 class TestSurfaces:
     def test_report_summary_carries_policy_columns(self):
         maintainer = RuleMaintainer(0.2, 0.5, policy=SlidingWindowPolicy(len(BASE)))
@@ -215,13 +174,3 @@ class TestSurfaces:
         summary = report.summary()
         assert summary["policy"] == f"window:{len(BASE)}"
         assert summary["evicted"] == 1
-
-    def test_policy_info_includes_skip_stats_when_enabled(self):
-        maintainer = RuleMaintainer(
-            0.5, 0.5, policy=UnboundedPolicy(), skip_estimator=SkipEstimator()
-        )
-        maintainer.initialise(TransactionDatabase([[1, 2]] * 8 + [[3]] * 2))
-        maintainer.apply(UpdateBatch.from_iterables(insertions=[[1, 2]] * 2))
-        info = maintainer.policy_info()
-        assert info["policy"] == "unbounded"
-        assert info["skip"]["rounds_skipped"] == 1

@@ -398,6 +398,96 @@ class TestCheckpointAndStatus:
         _crash(reopened)
 
 
+class TestSkipCheckManifests:
+    """Sessions whose manifest still records the retired skip pre-check.
+
+    Earlier releases could run a DELI-style skip pre-check and persisted
+    ``skip_check``/``skip_stats`` in ``session.json``.  A skipped round
+    installed exactly the lattice full FUP computes, so such a session
+    recovers by plain FUP to the same state as a twin that never skipped.
+    """
+
+    BATCHES = [
+        [[1, 2], [1, 2, 3]],
+        [[1, 2]],
+        [[2, 4], [3, 4]],
+        [[1, 3], [1, 2]],
+        [[1, 2, 3]],
+    ]
+    LEGACY_KEYS = {
+        "skip_check": True,
+        "skip_stats": {
+            "rounds_checked": 4,
+            "rounds_skipped": 2,
+            "rounds_forced": 2,
+            "forced_by_gap": 0,
+            "forced_by_border": 1,
+            "forced_by_estimate": 1,
+            "forced_by_certification": 0,
+            "estimated_change": 1,
+            "actual_change": 1,
+        },
+    }
+
+    def _make(self, directory, database):
+        with MaintenanceSession.create(
+            directory,
+            database,
+            min_support=0.3,
+            min_confidence=0.5,
+            checkpoint_interval=3,
+        ) as created:
+            for number, rows in enumerate(self.BATCHES):
+                created.add_transactions(rows, label=f"b{number}")
+            # A checkpoint at batch 3 plus two journaled batches to replay.
+            assert created.pending_batches == 2
+
+    def _legacy_twin(self, tmp_path, database):
+        clean, legacy = tmp_path / "clean", tmp_path / "legacy"
+        self._make(clean, database)
+        self._make(legacy, database)
+        manifest_path = legacy / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(self.LEGACY_KEYS)
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        return clean, legacy
+
+    def test_recovers_byte_identical_to_a_clean_twin(self, tmp_path, small_database):
+        clean, legacy = self._legacy_twin(tmp_path, small_database)
+        for directory in (clean, legacy):
+            with MaintenanceSession.open(directory) as reopened:
+                assert reopened.applied_seq == len(self.BATCHES)
+                reopened.checkpoint()
+        seq = len(self.BATCHES)
+        for name in (f"state-{seq}.json", f"snapshot-{seq}.bin", MANIFEST_NAME):
+            assert (legacy / name).read_bytes() == (clean / name).read_bytes(), name
+        with MaintenanceSession.open(clean) as a, MaintenanceSession.open(legacy) as b:
+            assert [str(rule) for rule in b.rules] == [str(rule) for rule in a.rules]
+
+    def test_status_and_health_no_longer_mention_skip(self, tmp_path, small_database, capsys):
+        import http.client
+
+        from repro import AsyncRuleServer, RuleStore, SessionFeed
+        from repro.cli import main
+
+        _, legacy = self._legacy_twin(tmp_path, small_database)
+        assert main(["session", "status", str(legacy)]) == 0
+        assert "skip" not in capsys.readouterr().out
+        assert not any("skip" in key for key in MaintenanceSession.peek(legacy).as_dict())
+
+        store = RuleStore()
+        SessionFeed(store, legacy).refresh(strict=True)
+        with AsyncRuleServer(store) as server:
+            connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            body = response.read().decode("utf-8")
+            connection.close()
+        assert response.status == 200
+        assert json.loads(body)["version"] == len(self.BATCHES)
+        assert "skip" not in body
+
+
 class TestHarnessRunner:
     def test_run_durable_session_creates_and_resumes(self, tmp_path, small_database):
         directory = tmp_path / "durable"

@@ -82,10 +82,13 @@ def test_count_candidates_matches_oracle(name, database):
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_count_candidates_accepts_plain_transaction_lists(name, database):
+@pytest.mark.parametrize("shape", [list, iter], ids=["list", "one-shot-iterator"])
+def test_count_candidates_accepts_plain_transaction_lists(name, shape, database):
+    """Lists and one-shot iterators count like the database they came from."""
     backend = make_backend(name, shards=3)
-    as_list = list(database)
-    assert backend.count_candidates(as_list, CANDIDATES) == reference_counts(database)
+    rows = list(database)
+    assert backend.count_candidates(shape(rows), CANDIDATES) == reference_counts(database)
+    assert backend.count_items(shape(rows)) == database.item_counts()
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -1,6 +1,6 @@
 """Property tests for the maintenance-policy layer.
 
-Four pinned behaviours, driven with random workloads:
+Three pinned behaviours, driven with random workloads:
 
 * **window ≡ re-mine** — a sliding-window maintainer's lattice equals a
   from-scratch Apriori mine of the window contents after *every* batch, on
@@ -14,10 +14,6 @@ Four pinned behaviours, driven with random workloads:
 * **top-k bound under growth** — a top-k maintainer's served rules are
   always the exact ``k``-prefix of the unbounded ranking, and never more
   than ``k``, no matter how the database grows.
-* **skip-estimator soundness** — a maintainer with the DELI-style skip
-  pre-check produces byte-identical supports and rules to a twin without
-  it, for any insert-only stream; skipping is an optimisation, never an
-  approximation.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from repro import (
     AprioriMiner,
     FupOptions,
     RuleMaintainer,
-    SkipEstimator,
     SlidingWindowPolicy,
     TimeDecayPolicy,
     TopKPolicy,
@@ -120,21 +115,3 @@ def test_topk_serves_the_exact_prefix_under_growth(initial, stream, k):
         assert bounded.rules == unbounded.rules[:k]
         # The lattice itself stays exact — only the served list is cut.
         assert bounded.result.lattice.supports() == unbounded.result.lattice.supports()
-
-
-@settings(max_examples=12, deadline=None)
-@given(initial=initial_databases, stream=insert_streams)
-def test_skip_estimator_never_changes_the_outcome(initial, stream):
-    checked = RuleMaintainer(0.25, 0.5, skip_estimator=SkipEstimator(sample_size=4))
-    plain = RuleMaintainer(0.25, 0.5)
-    checked.initialise(build_database(initial))
-    plain.initialise(build_database(initial))
-    for number, rows in enumerate(stream):
-        batch = UpdateBatch.from_iterables(insertions=rows, label=f"b{number}")
-        checked.apply(batch)
-        plain.apply(batch)
-        assert checked.result.lattice.supports() == plain.result.lattice.supports()
-        assert checked.rules == plain.rules
-    stats = checked.skip_estimator.stats
-    assert stats.rounds_checked == len(stream)
-    assert stats.rounds_skipped + stats.rounds_forced == stats.rounds_checked

@@ -1,19 +1,17 @@
-"""Unit tests for the shared front-end API (parsing + header normalization).
+"""Unit tests for the front end's request API (parsing, routing, headers).
 
-Both front ends build every response through :mod:`repro.serve.api`; these
-tests pin the normalized header contract — charset-qualified Content-Type
-on success *and* error bodies, exact Content-Length, explicit Connection
-disposition — that used to drift when the threaded server hand-rolled its
-headers.
+The HTTP front end builds every response through :mod:`repro.serve.api`;
+these tests pin the routing errors and the normalized header contract —
+charset-qualified Content-Type on success *and* error bodies, exact
+Content-Length, explicit Connection disposition.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro import RuleMaintainer, RuleStore
+from repro.errors import EmptyDatabaseError
 from repro.serve.api import (
     JSON_CONTENT_TYPE,
     BadRequest,
@@ -21,8 +19,8 @@ from repro.serve.api import (
     parse_items,
     parse_positive_int,
     reason_phrase,
-    respond,
     response_headers,
+    route_query,
 )
 
 
@@ -88,7 +86,7 @@ class TestReasonPhrase:
         assert reason_phrase(status) == phrase
 
 
-class TestRespond:
+class TestRouteQuery:
     @pytest.fixture
     def store(self, small_database):
         maintainer = RuleMaintainer(0.3, 0.5)
@@ -97,18 +95,18 @@ class TestRespond:
         store.attach(maintainer)
         return store
 
-    def test_bad_request_becomes_400_json(self, store):
-        status, payload = respond(store, "/recommend", {})
-        assert status == 400
-        assert "basket" in payload["error"]
-        json.dumps(payload, allow_nan=False)
+    def test_missing_basket_is_a_bad_request(self, store):
+        with pytest.raises(BadRequest, match="basket"):
+            route_query(store, "/recommend", {})
 
-    def test_empty_store_becomes_503(self):
-        status, payload = respond(RuleStore(), "/rules", {})
-        assert status == 503
-        assert payload["status"] == "empty"
+    def test_empty_store_raises_for_data_routes(self):
+        with pytest.raises(EmptyDatabaseError):
+            route_query(RuleStore(), "/rules", {})
 
-    def test_ok_routes_pass_through(self, store):
-        status, payload = respond(store, "/health", {})
+    def test_empty_store_health_is_503(self):
+        assert route_query(RuleStore(), "/health", {}) == (503, {"status": "empty", "version": None})
+
+    def test_ok_routes_answer_200(self, store):
+        status, payload = route_query(store, "/health", {})
         assert status == 200
         assert payload["status"] == "ok"

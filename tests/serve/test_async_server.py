@@ -13,7 +13,7 @@ import socket
 
 import pytest
 
-from repro import AsyncRuleServer, RuleMaintainer, RuleServer, RuleStore
+from repro import AsyncRuleServer, RuleMaintainer, RuleStore, TransactionDatabase
 from repro.serve.async_server import DEFAULT_MAX_CONNECTIONS
 
 
@@ -61,25 +61,23 @@ def request_raw(
             connection.close()
 
 
-class TestEndpointParity:
-    """Every GET route answers byte-for-byte like the threaded front end."""
+class TestHealth:
+    def test_reports_snapshot_coordinates(self, served):
+        status, _, payload = request_raw(served["server"], "GET", "/health")
+        snapshot = served["store"].snapshot()
+        assert status == 200
+        assert payload["status"] == "ok"
+        assert payload["version"] == snapshot.version
+        assert payload["database_size"] == snapshot.database_size
+        assert payload["rules"] == snapshot.rule_count
+        assert payload["itemsets"] == snapshot.itemset_count
+        assert payload["min_support"] == snapshot.min_support
+        assert payload["min_confidence"] == snapshot.min_confidence
 
-    PATHS = (
-        "/rules",
-        "/rules?limit=2",
-        "/recommend?basket=1,2&k=3",
-        "/itemset?items=1,2",
-        "/recommend",  # 400
-        "/recommend?basket=zebra",  # 400
-        "/nope",  # 404
-    )
-
-    def test_same_status_and_payload_as_threaded(self, attached_store):
-        with RuleServer(attached_store) as threaded, AsyncRuleServer(attached_store) as asynchronous:
-            for path in self.PATHS:
-                t_status, _, t_payload = request_raw(threaded, "GET", path)
-                a_status, _, a_payload = request_raw(asynchronous, "GET", path)
-                assert (a_status, a_payload) == (t_status, t_payload), path
+    def test_version_advances_with_batches(self, served):
+        assert request_raw(served["server"], "GET", "/health")[2]["version"] == 0
+        served["maintainer"].add_transactions([[1, 4], [2, 4]], label="live")
+        assert request_raw(served["server"], "GET", "/health")[2]["version"] == 1
 
     def test_health_adds_frontend_diagnostics(self, served):
         status, _, payload = request_raw(served["server"], "GET", "/health")
@@ -98,6 +96,83 @@ class TestEndpointParity:
         assert payload["status"] == "empty"
 
 
+class TestRules:
+    def test_serves_the_full_rule_set(self, served):
+        _, _, payload = request_raw(served["server"], "GET", "/rules")
+        snapshot = served["store"].snapshot()
+        assert payload["rule_count"] == snapshot.rule_count
+        assert len(payload["rules"]) == snapshot.rule_count
+
+    def test_limit(self, served):
+        _, _, payload = request_raw(served["server"], "GET", "/rules?limit=2")
+        assert len(payload["rules"]) == 2
+
+    def test_infinite_conviction_survives_the_json_layer(self):
+        """An exact rule (conviction == inf) must serve as strict JSON."""
+        maintainer = RuleMaintainer(0.3, 0.5)
+        # Item 2 always occurs with item 1: confidence({2}=>{1}) == 1.0.
+        maintainer.initialise(
+            TransactionDatabase([[1, 2], [1, 2], [1, 2], [1, 3], [1, 3], [3, 4]])
+        )
+        assert any(rule.conviction == float("inf") for rule in maintainer.rules)
+        store = RuleStore()
+        store.attach(maintainer)
+        with AsyncRuleServer(store) as server:
+            _, _, payload = request_raw(server, "GET", "/rules")
+        convictions = [entry["conviction"] for entry in payload["rules"]]
+        assert "inf" in convictions
+        assert all(
+            isinstance(value, (int, float)) or value == "inf" for value in convictions
+        )
+
+
+class TestRecommend:
+    def test_recommends_unowned_items(self, served):
+        _, _, payload = request_raw(served["server"], "GET", "/recommend?basket=1,2&k=5")
+        assert payload["basket"] == [1, 2]
+        assert payload["recommendations"]
+        for entry in payload["recommendations"]:
+            assert entry["item"] not in (1, 2)
+
+    def test_matches_the_snapshot_api(self, served):
+        _, _, payload = request_raw(served["server"], "GET", "/recommend?basket=1&k=3")
+        expected = served["store"].snapshot().recommend((1,), k=3)
+        assert payload["recommendations"] == [entry.as_dict() for entry in expected]
+
+    @pytest.mark.parametrize(
+        "path", ["/recommend", "/recommend?basket=1,zebra", "/recommend?basket=1&k=0"]
+    )
+    def test_bad_queries_are_400(self, served, path):
+        status, _, payload = request_raw(served["server"], "GET", path)
+        assert status == 400
+        assert payload["error"]
+
+
+class TestItemset:
+    def test_support_lookup(self, served, small_database):
+        _, _, payload = request_raw(served["server"], "GET", "/itemset?items=1,2")
+        assert payload["support_count"] == small_database.count_itemset((1, 2))
+        assert payload["large"] is True
+
+    def test_unknown_itemset(self, served):
+        _, _, payload = request_raw(served["server"], "GET", "/itemset?items=1,5")
+        assert payload["support_count"] == 0
+        assert payload["large"] is False
+
+    def test_missing_items_is_400(self, served):
+        assert request_raw(served["server"], "GET", "/itemset")[0] == 400
+
+
+class TestRouting:
+    def test_unknown_path_is_404(self, served):
+        assert request_raw(served["server"], "GET", "/nope")[0] == 404
+
+    def test_every_response_is_strict_json(self, served):
+        for path in ("/health", "/rules", "/recommend?basket=1", "/itemset?items=1"):
+            _, _, payload = request_raw(served["server"], "GET", path)
+            json.dumps(payload, allow_nan=False)
+
+
 class TestHeaderNormalization:
     def test_shared_contract_on_success_and_error(self, served):
         for path, expected in (("/health", 200), ("/recommend?basket=zebra", 400)):
@@ -107,8 +182,47 @@ class TestHeaderNormalization:
             assert headers["Connection"] == "keep-alive"
             assert "Content-Length" in headers
 
+    @pytest.mark.parametrize(
+        "path, expected", [("/health", 200), ("/recommend?basket=zebra", 400)]
+    )
+    def test_content_length_matches_the_body(self, served, path, expected):
+        server = served["server"]
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            body = response.read()
+        finally:
+            connection.close()
+        assert response.status == expected
+        assert response.getheader("Content-Length") == str(len(body))
+
+    def test_error_body_names_the_bad_parameter(self, served):
+        status, _, payload = request_raw(served["server"], "GET", "/recommend?basket=zebra")
+        assert status == 400
+        assert "basket" in payload["error"]
+
 
 class TestKeepAlive:
+    def test_connection_survives_an_error_response(self, served):
+        """A 400 keeps the connection open: the same socket serves again."""
+        server = served["server"]
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            status, headers, _ = request_raw(
+                server, "GET", "/recommend?basket=zebra", connection=connection
+            )
+            assert status == 400
+            assert headers["Connection"] == "keep-alive"
+            status, _, payload = request_raw(server, "GET", "/health", connection=connection)
+            assert status == 200
+            assert payload["status"] == "ok"
+            # One connection carried both requests: http.client did not
+            # have to reconnect after the error.
+            assert payload["connections"]["total"] == 1
+        finally:
+            connection.close()
+
     def test_many_requests_one_connection(self, served):
         server = served["server"]
         connection = http.client.HTTPConnection(server.host, server.port, timeout=10)

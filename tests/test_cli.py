@@ -77,6 +77,58 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mine", "db.txt"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "db.txt", "--min-support", "0.1"],
+            ["update", "db.txt", "incr.txt", "state.json"],
+            ["maintain", "db.txt", "incr.txt", "--min-support", "0.1"],
+            ["session", "init", "sess", "db.txt", "--min-support", "0.1"],
+            ["compare", "db.txt", "incr.txt", "--min-support", "0.1"],
+        ],
+        ids=["mine", "update", "maintain", "session-init", "compare"],
+    )
+    def test_backend_defaults_to_vertical(self, argv):
+        """The CLI mines with tid-list bitmaps unless told otherwise."""
+        assert build_parser().parse_args(argv).backend == "vertical"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["serve", "db.txt", "--frontend", "async"], "--frontend"),
+            (["pipeline", "sess", "--frontend", "async"], "--frontend"),
+            (["maintain", "db.txt", "incr.txt", "--min-support", "0.1", "--skip-check"], "--skip-check"),
+            (["session", "init", "sess", "db.txt", "--min-support", "0.1", "--skip-check"], "--skip-check"),
+            (["session", "apply", "sess", "--skip-check"], "--skip-check"),
+            (["ingest", "sess", "--skip-check"], "--skip-check"),
+            (["pipeline", "sess", "--skip-check"], "--skip-check"),
+        ],
+        ids=[
+            "serve-frontend",
+            "pipeline-frontend",
+            "maintain-skip-check",
+            "session-init-skip-check",
+            "session-apply-skip-check",
+            "ingest-skip-check",
+            "pipeline-skip-check",
+        ],
+    )
+    def test_removed_options_are_refused(self, argv, flag, capsys):
+        """The threaded front end and the skip pre-check left no option behind."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_serve_flags_carry_the_server_defaults(self):
+        from repro.serve.async_server import DEFAULT_MAX_CONNECTIONS
+        from repro.serve.cache import DEFAULT_CACHE_SIZE
+
+        args = build_parser().parse_args(["serve", "db.txt"])
+        assert args.cache_size == DEFAULT_CACHE_SIZE
+        assert args.max_connections == DEFAULT_MAX_CONNECTIONS
+        assert args.rate_limit is None and args.rate_burst is None
+
 
 class TestGenerateCommand:
     def test_generates_files_of_requested_size(self, tmp_path, capsys):
@@ -258,6 +310,47 @@ class TestMaintainCommand:
         )
         assert code == 2
         assert "not present in the maintained database" in capsys.readouterr().err
+
+    def test_apply_batches_totals_rows_time_and_evictions(self, small_database):
+        from repro import RuleMaintainer, UpdateBatch
+        from repro.cli import _apply_batches
+        from repro.core.policy import parse_policy
+
+        maintainer = RuleMaintainer(0.3, 0.5, policy=parse_policy(f"window:{len(small_database)}"))
+        maintainer.initialise(small_database)
+        batches = [
+            UpdateBatch.from_iterables([[1, 2], [2, 3]], label="first"),
+            UpdateBatch.from_iterables([[1, 4]], label="second"),
+        ]
+        reports = []
+
+        def apply(batch):
+            reports.append(maintainer.apply(batch))
+            return reports[-1]
+
+        rows, seconds, evicted = _apply_batches(apply, batches, "label", lambda r: r.batch_label)
+        assert [row["label"] for row in rows] == ["first", "second"]
+        assert [row["size"] for row in rows] == [len(small_database)] * 2
+        assert evicted == sum(report.evicted_transactions for report in reports) == 3
+        assert seconds >= sum(row["seconds"] for row in rows) - 1e-3
+
+    @pytest.mark.parametrize(
+        "spec, evicted, expected",
+        [
+            (None, 0, ""),
+            ("window:4", 0, "policy: window:4\n"),
+            ("window:4", 3, "policy: window:4, 3 transaction(s) evicted\n"),
+        ],
+        ids=["unbounded-silent", "policy-line", "policy-line-with-evictions"],
+    )
+    def test_policy_summary_is_one_line(self, spec, evicted, expected, capsys):
+        from repro import RuleMaintainer
+        from repro.cli import _print_policy_summary
+        from repro.core.policy import parse_policy
+
+        maintainer = RuleMaintainer(0.3, 0.5, policy=parse_policy(spec) if spec else None)
+        _print_policy_summary(maintainer, evicted)
+        assert capsys.readouterr().out == expected
 
     def test_batches_must_be_positive(self):
         with pytest.raises(SystemExit):
@@ -594,33 +687,12 @@ class TestServe:
         assert code == 2
         assert "--min-confidence" in capsys.readouterr().err
 
-    def test_async_flags_need_the_async_frontend(self, workload_files, capsys):
-        """The async-only knobs must error under --frontend threaded, not no-op."""
-        for flag, value in (
-            ("--cache-size", "64"),
-            ("--rate-limit", "100"),
-            ("--max-connections", "32"),
-        ):
-            code = main(
-                [
-                    "serve",
-                    str(workload_files["database_path"]),
-                    "--min-support", "0.2",
-                    flag, value,
-                ]
-            )
-            assert code == 2
-            err = capsys.readouterr().err
-            assert flag in err
-            assert "--frontend async" in err
-
     def test_rate_burst_needs_rate_limit(self, workload_files, capsys):
         code = main(
             [
                 "serve",
                 str(workload_files["database_path"]),
                 "--min-support", "0.2",
-                "--frontend", "async",
                 "--rate-burst", "10",
             ]
         )
@@ -632,7 +704,6 @@ class TestServe:
             "serve",
             str(workload_files["database_path"]),
             "--min-support", "0.2",
-            "--frontend", "async",
         ]
         assert main(base + ["--cache-size", "-1"]) == 2
         assert "--cache-size must be >= 0" in capsys.readouterr().err
@@ -646,6 +717,32 @@ class TestServe:
             main(base + ["--max-connections", "0"])
         assert excinfo.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    def test_database_mode_mines_with_vertical_by_default(
+        self, workload_files, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+
+        engines = []
+
+        class RecordingMaintainer(cli.RuleMaintainer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self.fup_options.backend)
+
+        monkeypatch.setattr(cli, "RuleMaintainer", RecordingMaintainer)
+        code = main(
+            [
+                "serve",
+                str(workload_files["database_path"]),
+                "--min-support", "0.2",
+                "--port", "0",
+                "--max-seconds", "0.1",
+            ]
+        )
+        assert code == 0
+        assert engines == ["vertical"]
+        assert "serving rules on" in capsys.readouterr().out
 
     def test_occupied_port_fails_cleanly(self, workload_files, capsys):
         import socket
@@ -975,7 +1072,6 @@ class TestPipelineCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "pipeline serving on http://127.0.0.1:" in out
-        assert "via the threaded front end" in out
         assert "3 event(s)" in out and "2 applied, 1 deduplicated" in out
 
     def test_follow_conflicts_with_stdin(self, tmp_path, capsys):
