@@ -13,6 +13,18 @@ scanning the big original database as little as possible:
   candidate is kept only if it is large **inside the increment itself**
   (``support_db ≥ s × d``, Lemmas 2 and 5) — only this heavily pruned pool is
   counted against ``DB``.
+* On the engine backends the prune moves into the join, so hopeless
+  candidates are never generated either.  Let ``f = ⌈s × d⌉``.  A new large
+  k-itemset ``X`` has ``count_db(X) ≥ f`` (Lemma 5); each (k−1)-subset ``Y``
+  of ``X`` is in ``L'_{k-1}`` and has ``count_db(Y) ≥ count_db(X) ≥ f``;
+  hence ``X ∈ apriori_gen({Y ∈ L'_{k-1} : count_db(Y) ≥ f})``.  The seed
+  counts come from the previous level's increment pass, and at k = 2 the
+  pairs are read straight out of the increment's transactions with their
+  counts.  The pool counted against ``DB`` is the same set as the literal
+  ``apriori_gen(L'_{k-1}) − L_k`` leaves after the prune; only the
+  increment-side pool shrinks.  The horizontal engine keeps the literal join
+  (its Reduce-db trims make later increment counts inexact for hopeless
+  itemsets), as does ``prune_candidates_by_increment=False``.
 * The databases shrink as the iterations proceed (Section 3.4): hopeless
   items collected in ``P`` are dropped from ``DB`` during its first scan, the
   DHP-style ``Reduce-db`` / ``Reduce-DB`` trimming removes items and
@@ -37,7 +49,7 @@ from ..db.transaction_db import Transaction, TransactionDatabase
 from ..errors import StaleStateError
 from ..itemsets import Item, Itemset
 from ..mining.backends import CountingBackend, make_backend
-from ..mining.candidates import apriori_gen
+from ..mining.candidates import apriori_gen, has_candidate_outside, supported_pairs
 from ..mining.hash_tree import HashTree
 from ..mining.result import (
     ItemsetLattice,
@@ -236,6 +248,17 @@ class _FupRun:
         )
         self.original_buckets: list[int] | None = None
 
+        # Lemma 5 seeding of candidate generation (engine modes only; see the
+        # module docstring): the floor a new candidate's increment count must
+        # reach, 0 when generation stays unseeded, and the increment counts
+        # of the current L'_{k-1} it narrows the join with.
+        self.seed_floor = (
+            self.required_increment
+            if options.prune_candidates_by_increment and not self.interleaved_scans
+            else 0
+        )
+        self.level_increment_counts: dict[Itemset, int] = {}
+
         # Instrumentation.
         self.candidates_per_level: dict[int, int] = {}
         self.database_scans = 0
@@ -314,6 +337,10 @@ class _FupRun:
             self._scan_original_first_iteration(
                 lattice, candidate_counts, hopeless_items, new_level
             )
+        if self.seed_floor >= 1:
+            self.level_increment_counts = {
+                (item,): count for item, count in increment_counts.items()
+            }
         return new_level, losers
 
     def _scan_original_first_iteration(
@@ -383,32 +410,45 @@ class _FupRun:
                 if not self._contains_loser(candidate, previous_losers)
             }
 
-        # C = apriori_gen(L'_{k-1}) − L_k; at size 2 the direct-hashing filter
-        # can discard candidates whose bucket count already proves them small.
-        candidates = apriori_gen(previous_new_level) - old_level
-        if (
-            size == 2
-            and options.use_hash_filter
-            and self.increment_buckets is not None
-            and self.original_buckets is not None
-        ):
-            candidates = {
-                candidate
-                for candidate in candidates
-                if (
-                    self.increment_buckets[_hash_pair(candidate, options.hash_table_size)]
-                    + self.original_buckets[_hash_pair(candidate, options.hash_table_size)]
-                )
-                >= self.required_total
-            }
+        if self.seed_floor >= 1:
+            # The level is skipped exactly when the unseeded C would be empty
+            # too, so the scan accounting matches the unseeded algorithm.
+            if not winners_pool and not has_candidate_outside(previous_new_level, old_level):
+                self.candidates_per_level[size] = 0
+                return set(), set(old_level)
+            winner_counts, candidates, candidate_counts = self._seeded_scan(
+                size, previous_new_level, old_level, winners_pool
+            )
+        else:
+            # C = apriori_gen(L'_{k-1}) − L_k; at size 2 the direct-hashing
+            # filter can discard candidates whose bucket count already proves
+            # them small.
+            candidates = apriori_gen(previous_new_level) - old_level
+            if (
+                size == 2
+                and options.use_hash_filter
+                and self.increment_buckets is not None
+                and self.original_buckets is not None
+            ):
+                candidates = {
+                    candidate
+                    for candidate in candidates
+                    if (
+                        self.increment_buckets[_hash_pair(candidate, options.hash_table_size)]
+                        + self.original_buckets[_hash_pair(candidate, options.hash_table_size)]
+                    )
+                    >= self.required_total
+                }
 
-        if not winners_pool and not candidates:
-            self.candidates_per_level[size] = 0
-            return set(), set(old_level)
+            if not winners_pool and not candidates:
+                self.candidates_per_level[size] = 0
+                return set(), set(old_level)
 
-        # Scan the increment once: update the supports of W and C, trim the
-        # increment's transactions (Reduce-db).
-        winner_counts, candidate_counts = self._scan_increment(winners_pool, candidates, size)
+            # Scan the increment once: update the supports of W and C, trim
+            # the increment's transactions (Reduce-db).
+            winner_counts, candidate_counts = self._scan_increment(
+                winners_pool, candidates, size
+            )
 
         new_level: set[Itemset] = set()
         for candidate in winners_pool:
@@ -430,9 +470,42 @@ class _FupRun:
             self._scan_original_later_iteration(
                 lattice, size, old_level, candidates, candidate_counts, new_level
             )
+        if self.seed_floor >= 1:
+            self.level_increment_counts = {**winner_counts, **candidate_counts}
 
         losers = set(old_level) - new_level
         return new_level, losers
+
+    def _seeded_scan(
+        self,
+        size: int,
+        previous_new_level: set[Itemset],
+        old_level: set[Itemset],
+        winners_pool: set[Itemset],
+    ) -> tuple[dict[Itemset, int], set[Itemset], dict[Itemset, int]]:
+        """The level's increment scan with Lemma 5 moved into the join.
+
+        Only the itemsets of ``L'_{k-1}`` whose increment count reaches the
+        floor seed the candidates.  At size 2 the pairs come straight from
+        the increment's transactions with exact counts, so only ``W`` goes
+        to the engine; above it ``apriori_gen`` joins the seed set.
+        """
+        floor = self.seed_floor
+        seed = {
+            itemset
+            for itemset in previous_new_level
+            if self.level_increment_counts.get(itemset, 0) >= floor
+        }
+        if size == 2:
+            winner_counts, _ = self._scan_increment(winners_pool, set(), size)
+            pairs = supported_pairs(self.increment_db, {itemset[0] for itemset in seed}, floor)
+            candidate_counts = {
+                pair: count for pair, count in pairs.items() if pair not in old_level
+            }
+            return winner_counts, set(candidate_counts), candidate_counts
+        candidates = apriori_gen(seed) - old_level
+        winner_counts, candidate_counts = self._scan_increment(winners_pool, candidates, size)
+        return winner_counts, candidates, candidate_counts
 
     def _scan_increment(
         self,
@@ -446,8 +519,10 @@ class _FupRun:
             # The engine counts both pools in one pass; Reduce-db is skipped
             # (the increment was never reduced in this mode, so the cached
             # per-database index stays valid).
-            winner_counts, candidate_counts = self.backend.count_pools(
-                self.increment_db, [winners_pool, candidates]
+            winner_counts, candidate_counts = (
+                self.backend.count_pools(self.increment_db, [winners_pool, candidates])
+                if winners_pool or candidates
+                else ({}, {})
             )
             self.increment_scans += 1
             self.transactions_read += self.increment_size

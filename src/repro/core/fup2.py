@@ -22,6 +22,13 @@ The same two ideas as FUP carry over:
   falls back to counting the apriori-gen candidates directly (still correct,
   just less of a shortcut) — for level 1 that means enumerating the item
   universe from the original database scan that is needed anyway.
+* While that floor ``f`` is at least 1 the prune moves into the join, as in
+  FUP: a new large ``X`` has ``count_db+(X) ≥ f``; each (k−1)-subset ``Y``
+  is in ``L'_{k-1}`` with ``count_db+(Y) ≥ count_db+(X) ≥ f``; hence ``X ∈
+  apriori_gen({Y ∈ L'_{k-1} : count_db+(Y) ≥ f})``.  At k = 2 the pairs
+  come straight from db+'s transactions with their counts, and only the
+  survivors are counted in db− and ``DB``.  A batch that drops the floor
+  below 1 keeps the unseeded join: pairs absent from db+ can become large.
 
 The updater's output is a :class:`~repro.mining.result.MiningResult` whose
 lattice holds exact counts over ``(DB − db−) ∪ db+`` and can seed the next
@@ -37,7 +44,7 @@ from ..db.transaction_db import Transaction, TransactionDatabase
 from ..errors import StaleStateError
 from ..itemsets import Item, Itemset
 from ..mining.backends import CountingBackend, MiningOptions, make_backend
-from ..mining.candidates import apriori_gen
+from ..mining.candidates import apriori_gen, has_candidate_outside, supported_pairs
 from ..mining.result import (
     ItemsetLattice,
     MiningResult,
@@ -178,6 +185,9 @@ class _Fup2Run:
         # Minimum count inside db+ a previously-small itemset needs before it
         # can possibly be large in the updated database (see module docstring).
         self.new_candidate_floor = self.required_new - max(self.required_old - 1, 0)
+        # db+ counts of the current L'_{k-1}, which seed the next level's
+        # candidate generation while the floor is at least 1.
+        self.level_inserted_counts: dict[Itemset, int] = {}
 
         self.candidates_per_level: dict[int, int] = {}
         self.database_scans = 0
@@ -218,6 +228,7 @@ class _Fup2Run:
 
     def _level_one(self, lattice: ItemsetLattice) -> set[Itemset]:
         inserted, deleted = self._delta_item_counts()
+        self.level_inserted_counts = {(item,): count for item, count in inserted.items()}
         old_level = self.old.level(1)
 
         new_level: set[Itemset] = set()
@@ -283,14 +294,47 @@ class _Fup2Run:
         self, lattice: ItemsetLattice, size: int, previous_new_level: set[Itemset]
     ) -> set[Itemset]:
         old_level = self.old.level(size)
-        candidates = apriori_gen(previous_new_level) - old_level
-        pool = old_level | candidates
-        if not pool:
-            self.candidates_per_level[size] = 0
-            return set()
+        floor = self.new_candidate_floor
+        inserted_counts: dict[Itemset, int] = {}
+        if floor >= 1:
+            # The level is skipped exactly when the unseeded pool would be
+            # empty too, so the scan accounting matches the unseeded join.
+            if not old_level and not has_candidate_outside(previous_new_level, old_level):
+                self.candidates_per_level[size] = 0
+                return set()
+            seed = {
+                itemset
+                for itemset in previous_new_level
+                if self.level_inserted_counts.get(itemset, 0) >= floor
+            }
+            if size == 2:
+                pairs = supported_pairs(self.insertions, {itemset[0] for itemset in seed}, floor)
+                inserted_counts = {
+                    pair: count for pair, count in pairs.items() if pair not in old_level
+                }
+                candidates = set(inserted_counts)
+            else:
+                candidates = apriori_gen(seed) - old_level
+        else:
+            candidates = apriori_gen(previous_new_level) - old_level
+            if not old_level and not candidates:
+                self.candidates_per_level[size] = 0
+                return set()
 
-        inserted_counts = self._count_pool(self.insertions, pool)
-        deleted_counts = self._count_pool(self.deletions, pool)
+        pool = old_level | candidates
+        inserted_counts.update(
+            self._count_pool(self.insertions, pool - inserted_counts.keys())
+        )
+        self.level_inserted_counts = inserted_counts
+        # Prune the brand-new candidates before the deletion and
+        # original-database scans.
+        if floor >= 1:
+            candidates = {
+                candidate
+                for candidate in candidates
+                if inserted_counts[candidate] >= floor
+            }
+        deleted_counts = self._count_pool(self.deletions, old_level | candidates)
         if self.insertions:
             self.increment_scans += 1
             self.transactions_read += len(self.insertions)
@@ -309,13 +353,6 @@ class _Fup2Run:
                 lattice.add(candidate, count)
                 new_level.add(candidate)
 
-        # Prune the brand-new candidates before the original-database scan.
-        if self.new_candidate_floor >= 1:
-            candidates = {
-                candidate
-                for candidate in candidates
-                if inserted_counts[candidate] >= self.new_candidate_floor
-            }
         self.candidates_per_level[size] = len(candidates)
         if not candidates:
             return new_level

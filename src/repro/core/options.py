@@ -32,7 +32,13 @@ class FupOptions:
     prune_candidates_by_increment:
         Apply Lemmas 2 and 5: drop a candidate whose support inside the
         increment is below ``s × d`` before scanning the original database.
-        This is FUP's central optimisation.
+        This is FUP's central optimisation.  It shrinks the pool counted
+        against the original database, which is what
+        ``MiningResult.candidates_generated`` reports.  On the engine
+        (non-horizontal) backends it also seeds candidate generation with the
+        increment, so the candidates it would drop are never generated or
+        counted in the increment either; switched off, every level counts the
+        full ``apriori_gen(L'_{k-1}) − L_k`` in both databases.
     filter_losers_by_subsets:
         Apply Lemma 3: remove an old large k-itemset from consideration as
         soon as one of its (k−1)-subsets is known to be a loser, without

@@ -189,8 +189,13 @@ class MiningResult:
         Short algorithm label (``"apriori"``, ``"dhp"``, ``"fup"``, ...).
     candidates_generated:
         Total number of candidate itemsets whose support was counted against
-        a database scan, summed over every iteration.  This is the quantity
-        Figure 3 of the paper compares.
+        the original database, summed over every iteration — the quantity
+        Figure 3 of the paper compares.  For the miners that is every
+        candidate they count; for FUP and FUP2 it is the pool that survives
+        the increment-side prune (Lemma 5, or FUP2's db+ floor).  Itemsets
+        counted only in the increment or the deletion batch — the old large
+        itemsets being refreshed, and candidates the increment rules out —
+        are not part of it.
     candidates_per_level:
         Breakdown of ``candidates_generated`` per itemset size.
     database_scans:

@@ -190,6 +190,54 @@ class TestFupPruningBehaviour:
             assert count == database.count_itemset(candidate)
 
 
+class TestSeededCandidateGeneration:
+    """Engine modes seed the join with the increment (Lemma 5); the literal
+    horizontal join (no hash filter, no Reduce-db) is their oracle: same
+    answer, same DB-counted pool per level, same accounted reads."""
+
+    def _assert_seeded_matches_literal(self, original, increment, support, max_itemset_size=None):
+        initial = AprioriMiner(support, max_itemset_size=max_itemset_size).mine(original)
+        literal = FupUpdater(
+            support,
+            options=FupOptions(use_hash_filter=False, reduce_databases=False),
+            max_itemset_size=max_itemset_size,
+        ).update(original, initial, increment)
+        seeded = FupUpdater(
+            support, options=FupOptions(backend="vertical"), max_itemset_size=max_itemset_size
+        ).update(original, initial, increment)
+        remined = AprioriMiner(support, max_itemset_size=max_itemset_size).mine(
+            original.concatenate(increment)
+        )
+        assert seeded.lattice.supports() == remined.lattice.supports()
+        assert seeded.candidates_per_level == literal.candidates_per_level
+        assert seeded.transactions_read == literal.transactions_read
+        assert seeded.increment_scans == literal.increment_scans
+        assert seeded.database_scans == literal.database_scans
+        return seeded
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_row_increment(self, random_database_factory, seed):
+        database = random_database_factory(transactions=201, items=12, max_size=7, seed=seed)
+        original, increment = split_database(database, 1)
+        self._assert_seeded_matches_literal(original, increment, 0.08)
+
+    def test_max_itemset_size_two(self, random_database_factory):
+        database = random_database_factory(transactions=250, items=14, max_size=7, seed=41)
+        original, increment = split_database(database, 50)
+        seeded = self._assert_seeded_matches_literal(original, increment, 0.06, max_itemset_size=2)
+        assert seeded.lattice.max_size() == 2
+
+    def test_increment_without_an_eligible_pair(self):
+        # Items 1 and 3 stay large and reach the floor in the increment, but
+        # no increment transaction holds two of them: no new pair can be
+        # large, so nothing beyond level 1 is counted against DB.
+        original = TransactionDatabase([[1, 2]] * 10 + [[3, 4]] * 10)
+        increment = TransactionDatabase([[1], [3], [1], [3], [5]])
+        seeded = self._assert_seeded_matches_literal(original, increment, 0.2)
+        assert seeded.candidates_per_level[2] == 0
+        assert set(seeded.lattice.level(2)) == {(1, 2), (3, 4)}
+
+
 class TestFupValidation:
     def test_rejects_stale_database_size(self, small_database, small_increment):
         initial = AprioriMiner(0.3).mine(small_database)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AprioriMiner, Fup2Updater, TransactionDatabase, update_with_fup2
+from repro import AprioriMiner, Fup2Updater, TransactionDatabase, apriori_gen, update_with_fup2
 from repro.errors import StaleStateError
 
 
@@ -175,6 +175,64 @@ class TestMixedBatches:
             small_database, initial, small_increment, TransactionDatabase(), support
         )
         assert direct.lattice.supports() == wrapped.lattice.supports()
+
+
+class TestSeededCandidateGeneration:
+    """While the db+ floor is at least 1 the join is seeded with db+; a
+    batch that shrinks the database keeps the unseeded join."""
+
+    @pytest.mark.parametrize("backend", ["horizontal", "vertical"])
+    def test_one_row_insertion(self, random_database_factory, backend):
+        database = random_database_factory(transactions=201, items=12, max_size=7, seed=3)
+        original, insertion = tail_split(database, 1)
+        initial = AprioriMiner(0.08).mine(original)
+        result = Fup2Updater(0.08, options=backend).update(
+            original, initial, insertion, TransactionDatabase()
+        )
+        assert result.lattice.supports() == AprioriMiner(0.08).mine(database).lattice.supports()
+
+    def test_max_itemset_size_two(self, random_database_factory):
+        database = random_database_factory(transactions=260, items=14, max_size=7, seed=43)
+        original, deletions = tail_split(database, 30)
+        insertions = random_database_factory(transactions=50, items=14, max_size=7, seed=44)
+        initial = AprioriMiner(0.06, max_itemset_size=2).mine(database)
+        result = Fup2Updater(0.06, max_itemset_size=2, options="vertical").update(
+            database, initial, insertions, deletions
+        )
+        remined = AprioriMiner(0.06, max_itemset_size=2).mine(original.concatenate(insertions))
+        assert result.lattice.supports() == remined.lattice.supports()
+        assert result.lattice.max_size() == 2
+
+    def test_shrinking_batch_takes_the_unseeded_join(self, random_database_factory):
+        # Deleting 50 of 60 rows while inserting 2 drops the floor below 1:
+        # pairs absent from db+ can become large, so level 2 counts the whole
+        # apriori_gen(L'_1) − L_2 against DB and stays exact.
+        database = random_database_factory(transactions=60, items=8, max_size=5, seed=13)
+        keep, deletions = tail_split(database, 50)
+        insertions = random_database_factory(transactions=2, items=8, max_size=5, seed=14)
+        initial = AprioriMiner(0.3).mine(database)
+        result = Fup2Updater(0.3, options="vertical").update(
+            database, initial, insertions, deletions
+        )
+        remined = AprioriMiner(0.3).mine(keep.concatenate(insertions))
+        assert result.lattice.supports() == remined.lattice.supports()
+        joined = apriori_gen(set(result.lattice.level(1))) - set(initial.lattice.level(2))
+        assert joined
+        assert result.candidates_per_level[2] == len(joined)
+
+    def test_insertions_without_an_eligible_pair(self):
+        original = TransactionDatabase([[1, 2]] * 10 + [[3, 4]] * 10)
+        insertions = TransactionDatabase([[1], [3], [1], [3], [5]])
+        deletions = TransactionDatabase([[1, 2]])
+        initial = AprioriMiner(0.2).mine(original)
+        result = Fup2Updater(0.2, options="vertical").update(
+            original, initial, insertions, deletions
+        )
+        remined = AprioriMiner(0.2).mine(
+            TransactionDatabase([[1, 2]] * 9 + [[3, 4]] * 10 + [[1], [3], [1], [3], [5]])
+        )
+        assert result.lattice.supports() == remined.lattice.supports()
+        assert result.candidates_per_level[2] == 0
 
 
 class TestFup2Validation:
