@@ -57,19 +57,17 @@ METRICS: dict[str, tuple[tuple[str, ...], ...]] = {
     ),
     "BENCH_backends.json": (
         ("vertical_speedup_vs_horizontal",),
-        ("kernels", "speedup_numpy_vs_bigint"),
         ("snapshot_open", "speedup_v2_open_vs_v1"),
     ),
     "BENCH_maintenance.json": (
         ("index_maintenance", "speedup_delta_vs_rebuild"),
         ("deletion_validation", "validation_speedup_vs_rebuild"),
-        ("session_kernels", "speedup_numpy_vs_bigint"),
     ),
 }
 
 #: Sections whose rows carry an ``assertion_active`` flag; a false flag on
 #: either side downgrades that section's metrics to SKIP.
-GATED_SECTIONS = ("closed_loop", "open_loop", "kernels", "snapshot_open")
+GATED_SECTIONS = ("closed_loop", "open_loop", "snapshot_open")
 
 
 @dataclass(frozen=True)

@@ -178,8 +178,8 @@ def update_bench_artifact(
     """Merge *payload* into the named artifact without clobbering siblings.
 
     Several benchmark modules contribute sections to one document (the
-    backends artifact holds the engine race plus the kernel and snapshot
-    rows; the serving artifact holds every serving measurement), so writes
+    backends artifact holds the engine race plus the snapshot-open row; the
+    serving artifact holds every serving measurement), so writes
     are read-merge-write: an existing document of the same ``benchmark``
     kind keeps its other sections.  ``section=None`` merges *payload* at the
     top level (the artifact's historical flat shape); a name nests it.

@@ -2,7 +2,7 @@
 
 Every algorithm in the library funnels through one hot path — the support
 count of a candidate pool over a transaction database — so this benchmark
-races the three pluggable engines on exactly that path, using the same
+races the two counting engines on exactly that path, using the same
 ``T10.I4.D100.d1`` workload as the paper's Figure 2:
 
 * the **counting phase**: support-count the full ``C_2`` candidate pool (the
@@ -47,9 +47,6 @@ COUNT_SUPPORT = 0.01
 #: scan on the counting-dominated phase.
 MIN_VERTICAL_SPEEDUP = 1.5
 
-#: Shard count used for the partitioned engine in this comparison.
-SHARDS = 4
-
 
 def _level2_candidates(database) -> list[tuple[int, ...]]:
     """The full C_2 pool of *database* at ``COUNT_SUPPORT`` (paper's level 2)."""
@@ -87,7 +84,7 @@ def test_backend_comparison(benchmark, figure2_workload):
         counting: dict[str, float] = {}
         reference_counts = None
         for name in BACKEND_NAMES:
-            engine = make_backend(name, shards=SHARDS)
+            engine = make_backend(name)
             if name == "vertical":
                 database.vertical()  # prime the cached index: built once per
                 # database and amortised over every scan, it is not part of
@@ -103,9 +100,7 @@ def test_backend_comparison(benchmark, figure2_workload):
         mining: dict[str, float] = {}
         reference_supports = None
         for name in BACKEND_NAMES:
-            miner = AprioriMiner(
-                COUNT_SUPPORT, options=MiningOptions(backend=name, shards=SHARDS)
-            )
+            miner = AprioriMiner(COUNT_SUPPORT, options=MiningOptions(backend=name))
             start = time.perf_counter()
             result = miner.mine(database)
             mining[name] = time.perf_counter() - start
@@ -119,9 +114,9 @@ def test_backend_comparison(benchmark, figure2_workload):
     counting = timings["counting"]
     speedup = counting["horizontal"] / max(counting["vertical"], 1e-9)
 
-    # Merged (not overwritten) at the top level: the kernel race and the
-    # snapshot-open benchmark in test_kernels.py contribute sibling sections
-    # to the same document.
+    # Merged (not overwritten) at the top level: the snapshot-open benchmark
+    # in test_snapshot_open.py contributes a sibling section to the same
+    # document.
     update_bench_artifact(
         "BENCH_backends.json",
         "backends_comparison",
@@ -132,7 +127,6 @@ def test_backend_comparison(benchmark, figure2_workload):
             "transactions": len(database),
             "min_support": COUNT_SUPPORT,
             "candidates_level2": len(candidates),
-            "shards": SHARDS,
             "counting_seconds": {
                 name: round(value, 6) for name, value in counting.items()
             },
@@ -161,18 +155,3 @@ def test_backend_comparison(benchmark, figure2_workload):
             f"vertical engine only {speedup:.2f}x faster than the horizontal "
             f"hash-tree scan on the counting phase (need {MIN_VERTICAL_SPEEDUP}x)"
         )
-
-
-@pytest.mark.benchmark(group="backends")
-def test_partitioned_backend_merges_exactly(benchmark, figure2_workload):
-    """Shard-and-merge equals the single-partition scan on real data."""
-    database = figure2_workload.original
-    candidates = _level2_candidates(database)
-
-    def count_partitioned():
-        return make_backend("partitioned", shards=SHARDS).count_candidates(
-            database, candidates
-        )
-
-    merged = benchmark.pedantic(count_partitioned, rounds=1)
-    assert merged == make_backend("horizontal").count_candidates(database, candidates)

@@ -76,6 +76,19 @@ def test_backends_speedup_is_gated(dirs) -> None:
     assert _verdicts(comparisons)["backends:vertical_speedup_vs_horizontal"] == "regression"
 
 
+def test_retired_kernel_sections_are_not_gated(dirs) -> None:
+    """Baselines recorded before the numpy kernel left still carry its rows;
+    the gate reads only the metrics it lists, so they neither fail nor skip."""
+    baseline, fresh = dirs
+    old = {**_backends(400.0), "kernels": {"speedup_numpy_vs_bigint": 1.3}}
+    _write(baseline, "BENCH_backends.json", old)
+    _write(fresh, "BENCH_backends.json", _backends(400.0))
+    comparisons = check_regression.collect_comparisons(baseline, fresh, tolerance=0.4)
+    assert not any("kernels" in comparison.metric for comparison in comparisons)
+    assert "kernels" not in check_regression.GATED_SECTIONS
+    assert _verdicts(comparisons)["backends:vertical_speedup_vs_horizontal"] == "ok"
+
+
 def test_missing_file_skips_not_fails(dirs) -> None:
     baseline, fresh = dirs
     _write(fresh, "BENCH_serving.json", _serving(100.0))

@@ -18,7 +18,7 @@ every batch the delta-maintained index is asserted bit-for-bit equal to the
 from-scratch build, so the speedup is measured on provably identical state.
 
 A second test drives the high-level :class:`~repro.core.maintenance.RuleMaintainer`
-through the same kind of session on all three counting engines, asserting
+through the same kind of session on both counting engines, asserting
 identical final state and recording the end-to-end per-engine cost.
 
 When ``REPRO_BENCH_ARTIFACT`` is set the measurements land in
@@ -34,7 +34,6 @@ import pytest
 
 from repro import AprioriMiner, FupOptions, RuleMaintainer, UpdateBatch, VerticalIndex
 from repro.db.transaction_db import build_vertical_index
-from repro.kernels import numpy_available
 from repro.mining.backends import BACKEND_NAMES
 
 from .conftest import build_workload, print_report, timing_asserts_enabled, update_bench_artifact
@@ -52,7 +51,6 @@ MIN_DELTA_SPEEDUP = 5.0
 
 MAINT_SUPPORT = 0.02
 MAINT_CONFIDENCE = 0.5
-SHARDS = 4
 
 
 def _update_artifact(section: str, payload: dict) -> None:
@@ -184,7 +182,7 @@ def test_maintenance_session_across_backends(benchmark):
             maintainer = RuleMaintainer(
                 MAINT_SUPPORT,
                 MAINT_CONFIDENCE,
-                fup_options=FupOptions(backend=name, shards=SHARDS),
+                fup_options=FupOptions(backend=name),
             )
             start = time.perf_counter()
             maintainer.initialise(workload.original)
@@ -240,82 +238,4 @@ def test_maintenance_session_across_backends(benchmark):
             {"backend": name, **measured["timings"][name]}
             for name in BACKEND_NAMES
         ],
-    )
-
-
-@pytest.mark.benchmark(group="maintenance")
-def test_maintenance_session_across_kernels(benchmark):
-    """The same insert/delete session on the vertical engine, per kernel.
-
-    The kernel seam sits *below* the counting backend, so this is the
-    maintenance-layer mirror of the counting race in ``test_kernels.py``:
-    the full FUP/FUP2 session (journaled inserts plus sliding-window
-    deletions) must end bit-identically whichever bitmap kernel the vertical
-    engine counts with, and the per-kernel wall time lands in the artifact.
-    Absolute session time is dominated by FUP bookkeeping rather than the
-    counting core, so no speedup floor is asserted here — the ≥10× claim
-    lives with the isolated counting race.
-    """
-    workload = build_workload("T10.I4.D100.d10", seed=72)
-    inserts = _session_batches(workload.increment, BATCHES)
-    kernels = ["bigint"] + (["numpy"] if numpy_available() else [])
-
-    def run_all() -> dict:
-        timings: dict[str, dict[str, float]] = {}
-        final_supports = {}
-        for kernel in kernels:
-            maintainer = RuleMaintainer(
-                MAINT_SUPPORT,
-                MAINT_CONFIDENCE,
-                fup_options=FupOptions(backend="vertical", kernel=kernel),
-            )
-            start = time.perf_counter()
-            maintainer.initialise(workload.original)
-            initial_seconds = time.perf_counter() - start
-
-            start = time.perf_counter()
-            for index, batch_rows in enumerate(inserts):
-                deletions = (
-                    [list(t) for t in maintainer.database.transactions()[:DELETE_PER_BATCH]]
-                    if index % 3 == 2
-                    else []
-                )
-                maintainer.apply(
-                    UpdateBatch.from_iterables(
-                        insertions=batch_rows,
-                        deletions=deletions,
-                        label=f"batch-{index}",
-                    )
-                )
-            session_seconds = time.perf_counter() - start
-            timings[kernel] = {
-                "initialise_s": round(initial_seconds, 6),
-                "session_s": round(session_seconds, 6),
-            }
-            final_supports[kernel] = maintainer.result.lattice.supports()
-        return {"timings": timings, "supports": final_supports}
-
-    measured = benchmark.pedantic(run_all, rounds=1)
-    supports = measured["supports"]
-    for kernel in kernels[1:]:
-        assert supports[kernel] == supports["bigint"], (
-            f"{kernel} kernel ended the maintenance session differently"
-        )
-
-    timings = measured["timings"]
-    payload: dict[str, object] = {
-        "workload": workload.name,
-        "batches": len(inserts),
-        "min_support": MAINT_SUPPORT,
-        "numpy_available": numpy_available(),
-        "seconds": timings,
-    }
-    if "numpy" in timings:
-        payload["speedup_numpy_vs_bigint"] = round(
-            timings["bigint"]["session_s"] / max(timings["numpy"]["session_s"], 1e-9), 3
-        )
-    _update_artifact("session_kernels", payload)
-    print_report(
-        f"maintenance session across kernels on {workload.name} ({len(inserts)} batches)",
-        [{"kernel": kernel, **timings[kernel]} for kernel in kernels],
     )

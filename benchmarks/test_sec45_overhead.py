@@ -9,19 +9,42 @@ expressed as a fraction of ``t(mine DB ∪ db)`` — i.e. how much extra work th
 final database once.  It reports an overhead of roughly 10-15% for increments
 much smaller than the database, dropping to about 5% once the increment is
 larger than the original database.
+
+The quantity is a small difference of full-mine timings that swing by 2×
+between identical runs on a shared host, so the series runs
+:data:`REPEATS` times, interleaved, and the overhead is formed from each
+leg's fastest time: a fixed cost under additive noise is best estimated by
+its minimum.  ``t(mine DB)`` is the same mine at every increment size, so
+its fastest time is taken over the whole series.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.harness.runner import measure_fup_overhead
+from repro.harness.runner import OverheadRecord, measure_fup_overhead
 
 from .conftest import build_workload, print_report, timing_asserts_enabled
 
 #: Increment sizes (relative to the database) probed for the overhead curve.
 INCREMENT_FRACTIONS = [0.05, 0.25, 1.0, 2.0]
 MIN_SUPPORT = 0.02
+#: Interleaved repetitions of the whole series; each leg keeps its minimum.
+REPEATS = 3
+
+
+def fastest_legs(records: list[OverheadRecord], mine_original_seconds: float) -> OverheadRecord:
+    """One record from the fastest FUP and re-mine legs of *records*.
+
+    *mine_original_seconds* is the fastest ``t(mine DB)`` of the series.
+    """
+    return OverheadRecord(
+        workload=records[0].workload,
+        min_support=records[0].min_support,
+        mine_original_seconds=mine_original_seconds,
+        fup_update_seconds=min(r.fup_update_seconds for r in records),
+        mine_updated_seconds=min(r.mine_updated_seconds for r in records),
+    )
 
 
 @pytest.mark.benchmark(group="section4.5")
@@ -32,22 +55,28 @@ def test_section45_overhead_of_fup(benchmark):
     database_size = len(original)
     pool = build_workload("T10.I4.D100.d200", seed=21).increment
 
+    increments = {
+        fraction: pool.slice(0, max(1, int(round(fraction * database_size))))
+        for fraction in INCREMENT_FRACTIONS
+    }
+
     def run_series():
-        records = []
-        for fraction in INCREMENT_FRACTIONS:
-            increment = pool.slice(0, max(1, int(round(fraction * database_size))))
-            records.append(
-                (
-                    fraction,
+        runs: dict[float, list[OverheadRecord]] = {f: [] for f in INCREMENT_FRACTIONS}
+        for _ in range(REPEATS):  # rounds outermost: noise spreads over every point
+            for fraction in INCREMENT_FRACTIONS:
+                runs[fraction].append(
                     measure_fup_overhead(
                         original,
-                        increment,
+                        increments[fraction],
                         MIN_SUPPORT,
                         workload=f"{base.name}+{fraction:g}x",
-                    ),
+                    )
                 )
-            )
-        return records
+        mine_original = min(r.mine_original_seconds for rs in runs.values() for r in rs)
+        return [
+            (fraction, fastest_legs(runs[fraction], mine_original))
+            for fraction in INCREMENT_FRACTIONS
+        ]
 
     records = benchmark.pedantic(run_series, rounds=1, iterations=1)
 

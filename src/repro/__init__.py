@@ -8,8 +8,8 @@ The package provides:
   and its deletion-capable generalisation (:class:`repro.core.Fup2Updater`),
 * the **Apriori** and **DHP** baseline miners the paper compares against,
 * association-rule generation, a transaction-database substrate with
-  delta-maintained indexes, pluggable counting engines (including a
-  process-parallel partitioned engine), the Quest-style synthetic data
+  delta-maintained indexes, two counting engines (the horizontal reference
+  scan and the vertical bitmask engine), the Quest-style synthetic data
   generator the paper's evaluation uses, and the experiment harness — with
   the declarative ``repro reproduce`` matrix — that regenerates every figure
   of the evaluation section,
@@ -56,7 +56,6 @@ from .db import (
 )
 from .mining import (
     BACKEND_NAMES,
-    EXECUTOR_NAMES,
     AprioriMiner,
     AssociationRule,
     CountingBackend,
@@ -67,7 +66,6 @@ from .mining import (
     ItemsetLattice,
     MiningOptions,
     MiningResult,
-    PartitionedBackend,
     VerticalBackend,
     apriori_gen,
     generate_rules,
@@ -150,11 +148,9 @@ __all__ = [
     "mine_dhp",
     # counting backends
     "BACKEND_NAMES",
-    "EXECUTOR_NAMES",
     "CountingBackend",
     "HorizontalBackend",
     "VerticalBackend",
-    "PartitionedBackend",
     "MiningOptions",
     "make_backend",
     # core

@@ -2,8 +2,8 @@
 
 AST checkers that mechanically enforce the invariants the architecture
 docs pin in prose: lock discipline in the serving tier, the
-fsync-then-atomic-rename durability protocol, kernel copy-on-write purity,
-snapshot binary-layout geometry, and exception hygiene.  See
+fsync-then-atomic-rename durability protocol, snapshot binary-layout
+geometry, policy purity, and exception hygiene.  See
 ``docs/analysis.md`` for the rule catalogue and the suppression/baseline
 workflow.
 """

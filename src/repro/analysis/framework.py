@@ -12,8 +12,7 @@ The pieces:
 * :class:`Rule` / :class:`Finding` — the vocabulary shared by checkers,
   reporters, and the baseline.
 * :class:`SourceModule` / :class:`Project` — one parsed file and the whole
-  scanned tree; checkers get both so cross-module rules (e.g. comparing a
-  kernel subclass against the ABC it implements) stay cheap.
+  scanned tree; checkers get both so cross-module rules stay cheap.
 * :class:`Checker` — base class; subclasses declare ``rules`` and implement
   :meth:`Checker.check`.
 * :class:`Baseline` — load/save and membership for grandfathered findings.
@@ -157,14 +156,6 @@ class Project:
 
     def __init__(self, modules: Sequence[SourceModule]) -> None:
         self.modules = list(modules)
-
-    def find(self, relpath_suffix: str) -> SourceModule | None:
-        """Return the first module whose relative path ends with the suffix."""
-        suffix = Path(relpath_suffix).parts
-        for module in self.modules:
-            if module.parts[-len(suffix) :] == suffix:
-                return module
-        return None
 
 
 class Checker:
@@ -359,14 +350,12 @@ def _all_checkers() -> list[Checker]:
     from .concurrency import ConcurrencyChecker
     from .durability import DurabilityChecker
     from .exceptions import ExceptionHygieneChecker
-    from .kernels import KernelPurityChecker
     from .layout import BinaryLayoutChecker
     from .policies import PolicyPurityChecker
 
     return [
         ConcurrencyChecker(),
         DurabilityChecker(),
-        KernelPurityChecker(),
         BinaryLayoutChecker(),
         ExceptionHygieneChecker(),
         PolicyPurityChecker(),

@@ -38,8 +38,8 @@ RULE_ALIGNMENT = Rule(
     "RPR031",
     "layout-misaligned",
     "Declared *_ALIGN constants must be powers of two (>= 8), and every "
-    "paired *_SIZE constant must be a multiple of its alignment — the "
-    "zero-copy mmap path requires aligned sections.",
+    "paired *_SIZE constant must be a multiple of its alignment — every "
+    "mapped section, lane rows included, must start word-aligned.",
 )
 
 

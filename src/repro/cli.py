@@ -26,7 +26,7 @@ shell, each as a subcommand:
 ``reproduce``
     Run the declarative paper-reproduction experiment matrix (FUP/FUP2 vs.
     re-running Apriori/DHP across increment sizes × support thresholds ×
-    counting engines/executors), print the speedup tables and charts, write
+    counting engines), print the speedup tables and charts, write
     ``BENCH_reproduction.json``, and maintain the generated block of
     ``docs/reproduction.md`` (``--update-docs`` / ``--check-docs``).
 ``docs``
@@ -112,13 +112,7 @@ from .harness.reporting import format_table
 from .ingest import DEFAULT_BATCH_EVENTS, FORMAT_NAMES
 from .harness.runner import compare_update_strategies
 from .mining.apriori import AprioriMiner
-from .mining.backends import (
-    BACKEND_NAMES,
-    DEFAULT_SHARDS,
-    EXECUTOR_NAMES,
-    KERNEL_NAMES,
-    MiningOptions,
-)
+from .mining.backends import BACKEND_NAMES, MiningOptions
 from .mining.dhp import DhpMiner, DhpOptions
 from .mining.rules import generate_rules
 from .serve.async_server import DEFAULT_MAX_CONNECTIONS
@@ -180,14 +174,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _mining_options(args: argparse.Namespace) -> MiningOptions:
-    """The engine selection of the shared --backend/--shards/--executor flags."""
-    return MiningOptions(
-        backend=args.backend,
-        shards=args.shards,
-        executor=args.executor,
-        workers=args.workers,
-        kernel=args.kernel,
-    )
+    """The engine selection of the shared --backend flag."""
+    return MiningOptions(backend=args.backend)
 
 
 def _fup_options(args: argparse.Namespace) -> FupOptions:
@@ -431,7 +419,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     store = RuleStore()
     feed = None
-    maintainer = None  # database-mode maintainer, closed on exit
     if args.session:
         interval = 1.0 if args.refresh is None else args.refresh
         if interval <= 0:
@@ -451,10 +438,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ("--min-confidence", args.min_confidence),
                 ("--miner", args.miner),
                 ("--backend", args.backend),
-                ("--shards", args.shards),
-                ("--executor", args.executor),
-                ("--workers", args.workers),
-                ("--kernel", args.kernel),
             )
             if value is not None
         ]
@@ -503,15 +486,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.min_support,
             0.5 if args.min_confidence is None else args.min_confidence,
             miner=args.miner or "apriori",
-            fup_options=FupOptions.from_mining(
-                MiningOptions(
-                    backend=args.backend or "vertical",
-                    shards=DEFAULT_SHARDS if args.shards is None else args.shards,
-                    executor=args.executor or "threads",
-                    workers=args.workers,
-                    kernel=args.kernel,
-                )
-            ),
+            fup_options=FupOptions(backend=args.backend or "vertical"),
         )
         store.attach(maintainer)  # publishes on initialise (and any later apply)
         maintainer.initialise(load_database(args.database))
@@ -528,8 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         print(f"error: cannot serve on {args.host}:{args.port}: {exc}", file=sys.stderr)
-        if maintainer is not None:
-            maintainer.close()  # reap any engine worker processes
         return 2
     if feed is not None:
         feed.start()
@@ -554,8 +527,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.close()
         if feed is not None:
             feed.stop()
-        if maintainer is not None:
-            maintainer.close()
     return 0
 
 
@@ -1036,34 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="vertical",
             help="support-counting engine (default: vertical tid-list bitmaps)",
         )
-        subparser.add_argument(
-            "--shards",
-            type=positive_int,
-            default=DEFAULT_SHARDS,
-            help="partition count for the partitioned backend",
-        )
-        subparser.add_argument(
-            "--executor",
-            choices=list(EXECUTOR_NAMES),
-            default="threads",
-            help="shard executor for the partitioned backend: GIL-bound threads "
-            "or real process parallelism",
-        )
-        subparser.add_argument(
-            "--workers",
-            type=positive_int,
-            default=None,
-            help="cap on the partitioned backend's concurrent lanes "
-            "(default: one per shard)",
-        )
-        subparser.add_argument(
-            "--kernel",
-            choices=list(KERNEL_NAMES),
-            default=None,
-            help="bitmap kernel for the vertical counting core: pure-Python "
-            "big integers, numpy uint64 lanes, or auto (numpy when "
-            "installed; default: bigint)",
-        )
 
     def add_policy_flags(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
@@ -1157,29 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=list(BACKEND_NAMES),
         help="support-counting engine (database mode; default vertical)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=positive_int,
-        help=f"partition count for the partitioned backend (database mode; "
-        f"default {DEFAULT_SHARDS})",
-    )
-    serve.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_NAMES),
-        help="shard executor for the partitioned backend (database mode; "
-        "default threads)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=positive_int,
-        help="cap on the partitioned backend's concurrent lanes (database mode)",
-    )
-    serve.add_argument(
-        "--kernel",
-        choices=list(KERNEL_NAMES),
-        help="bitmap kernel for the vertical counting core (database mode; "
-        "default bigint)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -1394,7 +1314,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce = commands.add_parser(
         "reproduce",
         help="run the paper-reproduction experiment matrix "
-        "(increment size x support x algorithm x engine/executor x policy)",
+        "(increment size x support x algorithm x engine x policy)",
     )
     reproduce.add_argument(
         "--quick",
@@ -1417,8 +1337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument(
         "--engines",
-        help="comma-separated engine specs backend[:shards[:executor[:workers]]] "
-        "(e.g. horizontal,partitioned:4:processes)",
+        help="comma-separated counting engines (e.g. horizontal,vertical)",
     )
     reproduce.add_argument(
         "--policies",

@@ -106,13 +106,7 @@ class FupUpdater:
         # An explicit *backend* instance wins over the options-described
         # engine — callers sharing one (stateful) engine across several
         # updaters/miners inject it here.
-        self.backend = backend if backend is not None else make_backend(
-            self.options.backend,
-            shards=self.options.shards,
-            executor=self.options.executor,
-            workers=self.options.workers,
-            kernel=self.options.kernel,
-        )
+        self.backend = backend if backend is not None else make_backend(self.options.backend)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -215,13 +209,7 @@ class _FupRun:
         # per-database representation across iterations — and, because the
         # database's vertical index is delta-maintained through mutations,
         # across every batch of a maintenance session.
-        self.backend = backend if backend is not None else make_backend(
-            options.backend,
-            shards=options.shards,
-            executor=options.executor,
-            workers=options.workers,
-            kernel=options.kernel,
-        )
+        self.backend = backend if backend is not None else make_backend(options.backend)
         self.interleaved_scans = self.backend.supports_transaction_pruning
         self.original_db = original
         self.increment_db = increment

@@ -115,8 +115,8 @@ class RuleMaintainer:
         Which algorithm mines the initial state (and performs any full
         re-mine): ``"apriori"`` or ``"dhp"``.
     fup_options:
-        Feature switches forwarded to the FUP updater; its ``backend`` /
-        ``shards`` selection also drives the FUP2 updater and any full
+        Feature switches forwarded to the FUP updater; its ``backend``
+        selection also drives the FUP2 updater and any full
         re-mine, so a single counting engine serves the whole maintenance
         session (and its per-database index is reused across batches).
     remine_increment_factor:
@@ -168,10 +168,7 @@ class RuleMaintainer:
         self.sequence = 0
         self._subscribers: list[Callable[["RuleMaintainer"], None]] = []
         # One updater of each kind serves every batch of the session, so a
-        # single counting engine — with whatever state it owns: worker
-        # processes, shipped shard caches, per-database indexes — is built
-        # once and amortised over the whole session instead of being
-        # respawned per batch.
+        # single counting engine is built once for the whole session.
         self._fup_updater = FupUpdater(self.min_support, options=self.fup_options)
         self._fup2_updater = Fup2Updater(
             self.min_support, options=self.fup_options.mining_options()
@@ -433,19 +430,6 @@ class RuleMaintainer:
     ) -> MaintenanceReport:
         """Convenience wrapper: apply a delete-only batch."""
         return self.apply(UpdateBatch.from_iterables(deletions=transactions, label=label))
-
-    def close(self) -> None:
-        """Release the counting engines' owned resources (worker processes).
-
-        Only the process-mode partitioned engine holds any; for every other
-        configuration this is a no-op.  Safe to call more than once, and the
-        maintainer keeps working afterwards (the engine respawns its pool on
-        the next use).
-        """
-        for updater in (self._fup_updater, self._fup2_updater):
-            release = getattr(updater.backend, "close", None)
-            if release is not None:
-                release()
 
     # ------------------------------------------------------------------ #
     def _should_remine(self, increment: TransactionDatabase) -> bool:

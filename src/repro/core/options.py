@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..mining.backends import (
-    BACKEND_NAMES,
-    DEFAULT_EXECUTOR,
-    DEFAULT_SHARDS,
-    EXECUTOR_NAMES,
-    KERNEL_NAMES,
-    HorizontalBackend,
-    MiningOptions,
-)
+from ..mining.backends import BACKEND_NAMES, HorizontalBackend, MiningOptions
 
 __all__ = ["FupOptions"]
 
@@ -63,19 +55,6 @@ class FupOptions:
         optimisations are skipped (they are lossless prunes, so the resulting
         large itemsets and support counts are identical — only
         instrumentation like candidate counts can differ).
-    shards:
-        Partition count used by the ``"partitioned"`` engine.
-    executor:
-        Shard executor used by the ``"partitioned"`` engine
-        (:data:`repro.mining.backends.EXECUTOR_NAMES`): ``"threads"`` or the
-        process-parallel ``"processes"``.
-    workers:
-        Cap on the ``"partitioned"`` engine's concurrent lanes (``None``:
-        one per shard).
-    kernel:
-        Bitmap kernel for the vertical counting core (see
-        :data:`repro.mining.backends.KERNEL_NAMES`): ``"bigint"``,
-        ``"numpy"``, ``"auto"``, or ``None`` for the default.
     """
 
     prune_candidates_by_increment: bool = True
@@ -84,10 +63,6 @@ class FupOptions:
     use_hash_filter: bool = True
     hash_table_size: int = 100
     backend: str = HorizontalBackend.name
-    shards: int = DEFAULT_SHARDS
-    executor: str = DEFAULT_EXECUTOR
-    workers: int | None = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.hash_table_size < 1:
@@ -97,46 +72,19 @@ class FupOptions:
                 f"unknown counting backend {self.backend!r}; "
                 f"expected one of {', '.join(BACKEND_NAMES)}"
             )
-        if self.shards < 1:
-            raise ValueError(f"shards must be positive, got {self.shards}")
-        if self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {', '.join(EXECUTOR_NAMES)}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.kernel is not None and self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {', '.join(KERNEL_NAMES)}"
-            )
 
     def mining_options(self) -> "MiningOptions":
         """The engine-selection slice of these options as a MiningOptions."""
-        return MiningOptions(
-            backend=self.backend,
-            shards=self.shards,
-            executor=self.executor,
-            workers=self.workers,
-            kernel=self.kernel,
-        )
+        return MiningOptions(backend=self.backend)
 
     @classmethod
     def from_mining(cls, mining: MiningOptions, **overrides) -> "FupOptions":
         """FUP options carrying a MiningOptions engine selection.
 
         Together with :meth:`mining_options` this is the only projection
-        between the two shapes — new engine knobs are threaded here once.
+        between the two shapes.
         """
-        return cls(
-            backend=mining.backend,
-            shards=mining.shards,
-            executor=mining.executor,
-            workers=mining.workers,
-            kernel=mining.kernel,
-            **overrides,
-        )
+        return cls(backend=mining.backend, **overrides)
 
     @classmethod
     def all_disabled(cls) -> "FupOptions":

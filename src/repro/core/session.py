@@ -312,6 +312,18 @@ def _read_journal(path: Path) -> tuple[list[dict], int]:
     return records, offset
 
 
+#: Engines a session manifest may still name although they were retired,
+#: mapped to the engine that now counts for them.  Every engine reports the
+#: same supports, so the swap cannot change a recovered result.
+_RETIRED_BACKENDS = {"partitioned": "vertical"}
+
+
+def _manifest_backend(manifest: dict) -> str:
+    """The counting engine a session manifest selects."""
+    backend = str(manifest["backend"])
+    return _RETIRED_BACKENDS.get(backend, backend)
+
+
 #: Leading bytes of a journal record — every record is written with ``seq``
 #: as its first key, so the pending count never needs the full payload.
 _SEQ_PREFIX = re.compile(rb'^\{"seq":\s*(\d+)')
@@ -373,10 +385,6 @@ class SessionStatus:
     min_confidence: float
     miner: str
     backend: str
-    shards: int
-    executor: str
-    workers: int | None
-    kernel: str | None
     checkpoint_interval: int
     policy: str = "unbounded"
 
@@ -399,10 +407,6 @@ class SessionStatus:
             "min_confidence": self.min_confidence,
             "miner": self.miner,
             "backend": self.backend,
-            "shards": self.shards,
-            "executor": self.executor,
-            "workers": self.workers,
-            "kernel": self.kernel,
             "checkpoint_interval": self.checkpoint_interval,
             "policy": self.policy,
         }
@@ -554,10 +558,9 @@ class MaintenanceSession:
         state_path = directory / f"state-{checkpoint_seq}.json"
         # Sessions checkpointed before format v2 hold a v1 snapshot here;
         # load_database sniffs the magic, so both open transparently — a v2
-        # file memory-maps in O(1) with its vertical index wrapped under the
-        # session's configured kernel.
-        kernel = manifest.get("kernel") or None
-        database = load_database(snapshot_path, binary=True, kernel=kernel)
+        # file memory-maps in O(1) with its vertical index read from the
+        # lane section.
+        database = load_database(snapshot_path, binary=True)
         # Set the name explicitly: load_database's filename-stem fallback
         # would otherwise rename an unnamed database to "snapshot-<seq>".
         database.name = str(manifest.get("name", ""))
@@ -573,23 +576,14 @@ class MaintenanceSession:
         # skip pre-check still carry "skip_check"/"skip_stats"; they are
         # ignored, because a skipped round installed exactly the lattice the
         # full FUP round would have, so replay without it is byte-identical.
+        # The same holds for the retired engine keys ("shards", "executor",
+        # "workers", "kernel"): every engine counts the same supports.
         maintainer = RuleMaintainer(
             float(manifest["min_support"]),
             float(manifest["min_confidence"]),
             miner=manifest["miner"],
             policy=policy_from_dict(manifest.get("policy")),
-            fup_options=FupOptions(
-                backend=str(manifest["backend"]),
-                shards=int(manifest["shards"]),
-                # Sessions written before the executor landed default to the
-                # thread path, which is what they were running all along.
-                executor=str(manifest.get("executor", "threads")),
-                workers=(
-                    int(manifest["workers"]) if manifest.get("workers") else None
-                ),
-                # Pre-kernel manifests carry no entry: default kernel.
-                kernel=kernel,
-            ),
+            fup_options=FupOptions(backend=_manifest_backend(manifest)),
         )
         # Seeding the sequence with the checkpoint seq makes the maintainer's
         # batch counter equal the journal sequence number at every point of
@@ -656,7 +650,6 @@ class MaintenanceSession:
                 self._ledger.close()
             if self._lock is not None:
                 self._lock.close()  # closing the fd releases the flock
-            self._maintainer.close()  # release any engine worker processes
             self._closed = True
 
     def __enter__(self) -> "MaintenanceSession":
@@ -717,10 +710,6 @@ class MaintenanceSession:
             min_confidence=maintainer.min_confidence,
             miner=maintainer.miner_name,
             backend=maintainer.fup_options.backend,
-            shards=maintainer.fup_options.shards,
-            executor=maintainer.fup_options.executor,
-            workers=maintainer.fup_options.workers,
-            kernel=maintainer.fup_options.kernel,
             checkpoint_interval=self._checkpoint_interval,
             policy=maintainer.policy.describe(),
         )
@@ -747,11 +736,7 @@ class MaintenanceSession:
             min_support=float(manifest["min_support"]),
             min_confidence=float(manifest["min_confidence"]),
             miner=str(manifest["miner"]),
-            backend=str(manifest["backend"]),
-            shards=int(manifest["shards"]),
-            executor=str(manifest.get("executor", "threads")),
-            workers=(int(manifest["workers"]) if manifest.get("workers") else None),
-            kernel=manifest.get("kernel") or None,
+            backend=_manifest_backend(manifest),
             checkpoint_interval=int(manifest["checkpoint_interval"]),
             policy=policy_from_dict(manifest.get("policy")).describe(),
         )
@@ -941,10 +926,6 @@ class MaintenanceSession:
             "min_confidence": maintainer.min_confidence,
             "miner": maintainer.miner_name,
             "backend": maintainer.fup_options.backend,
-            "shards": maintainer.fup_options.shards,
-            "executor": maintainer.fup_options.executor,
-            "workers": maintainer.fup_options.workers,
-            "kernel": maintainer.fup_options.kernel,
             "checkpoint_interval": self._checkpoint_interval,
             "checkpoint_seq": checkpoint_seq,
             "database_size": len(maintainer.database),

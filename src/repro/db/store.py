@@ -14,10 +14,10 @@ Three interchangeable formats are provided:
   header, then 64-byte-aligned sections holding the transactions in CSR
   form (``uint64`` offsets + ``uint32`` item ids) and, optionally, the
   vertical index's bitmap lanes (row-major ``uint64``, one row per item —
-  exactly the kernels' canonical lane form).  :func:`open_snapshot` maps
-  the file and reconstructs the database in O(items): the vertical index
-  wraps the lane section zero-copy (``numpy.frombuffer`` under the numpy
-  kernel) and the transaction rows materialize lazily on first real use,
+  exactly :meth:`VerticalIndex.export_lanes`).  :func:`open_snapshot` maps
+  the file and reconstructs the database in O(items): the vertical index's
+  masks are read straight from the lane section (one ``int.from_bytes``
+  per item) and the transaction rows materialize lazily on first real use,
   so a session or serving process starts without parsing the database.
 
 All formats round-trip exactly through :class:`TransactionDatabase`;
@@ -137,7 +137,7 @@ def read_transactions_binary(path: str | Path) -> Iterator[Transaction]:
 
 
 # --------------------------------------------------------------------- #
-# Snapshot format v2 — memory-mappable, zero-copy lanes
+# Snapshot format v2 — memory-mappable, with the vertical index's lanes
 # --------------------------------------------------------------------- #
 _V2_MAGIC = b"REPROSN2"
 _V2_VERSION = 2
@@ -268,17 +268,14 @@ def _parse_v2_header(data: bytes | memoryview, path: Path, size: int) -> tuple:
     return flags, n_tx, n_entries, n_items, lane_words, sections
 
 
-def open_snapshot(
-    path: str | Path, name: str = "", kernel: str | None = None
-) -> TransactionDatabase:
+def open_snapshot(path: str | Path, name: str = "") -> TransactionDatabase:
     """Memory-map a v2 snapshot and rebuild its database in O(items).
 
     The returned database carries the snapshot's vertical index (when the
-    lane section is present) reconstructed straight from the mapping — the
-    numpy kernel wraps the lanes zero-copy via ``numpy.frombuffer`` —
-    and a lazy transaction loader: size queries and vertical counting never
+    lane section is present) reconstructed straight from the mapping, and
+    a lazy transaction loader: size queries and vertical counting never
     touch the transaction sections, while the first operation that really
-    needs the rows (iteration, mutation, fingerprinting) parses them once.
+    needs the rows (iteration, mutation) parses them once.
     """
     path = Path(path)
     try:
@@ -309,9 +306,7 @@ def open_snapshot(
     if flags & _FLAG_LANES:
         item_ids = list(struct.unpack_from(f"<{n_items}I", mapping, off_item_ids))
         lanes = memoryview(mapping)[off_lanes : off_lanes + lane_len]
-        database._vertical = VerticalIndex.from_lanes(
-            item_ids, lanes, n_tx, kernel=kernel
-        )
+        database._vertical = VerticalIndex.from_lanes(item_ids, lanes, n_tx)
     return database
 
 
@@ -415,14 +410,13 @@ def load_database(
     path: str | Path,
     name: str = "",
     binary: bool = False,
-    kernel: str | None = None,
 ) -> TransactionDatabase:
     """Load a database previously written with :func:`save_database` or
     :func:`write_snapshot`.
 
     The file magic is sniffed first: a v2 snapshot memory-maps through
-    :func:`open_snapshot` whatever *binary* says (and *kernel* selects its
-    index's bitmap kernel), and a v1 binary file takes the binary reader —
+    :func:`open_snapshot` whatever *binary* says, and a v1 binary file
+    takes the binary reader —
     so callers never have to know which format a file is in.  Anything
     else takes the reader the *binary* flag names, exactly as before.
     """
@@ -433,7 +427,7 @@ def load_database(
     except OSError as exc:
         raise StorageError(f"cannot read database from {path}: {exc}") from exc
     if magic[: len(_V2_MAGIC)] == _V2_MAGIC:
-        return open_snapshot(path, name=name, kernel=kernel)
+        return open_snapshot(path, name=name)
     if magic[: len(_HEADER)] == _HEADER:
         binary = True
     reader = read_transactions_binary if binary else read_transactions_text

@@ -14,7 +14,6 @@ the DHP/FUP transaction-trimming optimisations straightforward.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
@@ -57,8 +56,7 @@ def shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
 
     At most *shards* non-empty bounds come back (fewer when ``total`` is
     smaller); sizes differ by at most one and cover ``range(total)`` in
-    order.  Shared by :meth:`TransactionDatabase.partition` and the
-    partitioned counting engine so the split semantics cannot drift apart.
+    order.  The CLI uses it to split an update file into batches.
     """
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
@@ -127,10 +125,8 @@ class TransactionDatabase:
         "_tx_loader",
         "_tx_count",
         "_vertical",
-        "_partitions",
         "_item_counts",
         "_multiset",
-        "_fingerprint",
         "name",
     )
 
@@ -145,10 +141,8 @@ class TransactionDatabase:
         self._tx_loader = None
         self._tx_count = 0
         self._vertical: VerticalIndex | None = None
-        self._partitions: dict[int, list["TransactionDatabase"]] = {}
         self._item_counts: Counter[Item] | None = None
         self._multiset: Counter[Transaction] | None = None
-        self._fingerprint: str | None = None
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -160,7 +154,7 @@ class TransactionDatabase:
 
         Databases opened from a memory-mapped snapshot carry a loader
         instead of the list, so opening is O(1); the first operation that
-        genuinely needs the rows (iteration, mutation, fingerprinting) pays
+        genuinely needs the rows (iteration, mutation) pays
         the one-off parse here.  Size queries and vertical counting never
         trigger it.
         """
@@ -236,7 +230,6 @@ class TransactionDatabase:
             clone._item_counts = Counter(self._item_counts)
         if self._multiset is not None:
             clone._multiset = Counter(self._multiset)
-        clone._fingerprint = self._fingerprint
         return clone
 
     # ------------------------------------------------------------------ #
@@ -281,8 +274,6 @@ class TransactionDatabase:
         if self._vertical is not None:
             self._vertical.append(canonical)
         self._note_added((canonical,))
-        self._partitions.clear()
-        self._fingerprint = None
 
     def extend(self, transactions: Iterable[Iterable[Item]]) -> None:
         """Append every transaction of *transactions* (an increment ``db``)."""
@@ -295,8 +286,6 @@ class TransactionDatabase:
         if self._vertical is not None:
             self._vertical.extend(increment)
         self._note_added(increment)
-        self._partitions.clear()
-        self._fingerprint = None
 
     def remove_batch(
         self, transactions: Iterable[Iterable[Item]], strict: bool = False
@@ -338,8 +327,6 @@ class TransactionDatabase:
         if self._vertical is not None:
             self._vertical.delete_tids(removed_tids)
         self._note_removed(removed_rows)
-        self._partitions.clear()
-        self._fingerprint = None
         return len(removed_tids)
 
     def _locate_batch_indexed(
@@ -497,7 +484,7 @@ class TransactionDatabase:
         needed = set(candidate)
         return sum(1 for transaction in self._transactions if needed.issubset(transaction))
 
-    def vertical(self, kernel: str | None = None) -> VerticalIndex:
+    def vertical(self) -> VerticalIndex:
         """Return the cached vertical (TID-bitset) representation.
 
         The result maps each item to an ``int`` bitmask in which bit ``t`` is
@@ -509,106 +496,15 @@ class TransactionDatabase:
         instead of being rebuilt — an update costs work proportional to the
         update, never to the database.  Treat the returned mapping as a
         read-only live view of this database.
-
-        *kernel* names the bitmap kernel the caller wants to count with
-        (see :mod:`repro.kernels`); an already-built index under a different
-        kernel is converted **in place** (one repack, cheaper than a rebuild)
-        so subsequent callers share it.  ``None`` keeps whatever is there.
         """
         if self._vertical is None:
-            self._vertical = VerticalIndex.build(self._transactions, kernel=kernel)
-        elif kernel is not None:
-            self._vertical = self._vertical.with_kernel(kernel)
+            self._vertical = VerticalIndex.build(self._transactions)
         return self._vertical
 
     @property
     def has_vertical_index(self) -> bool:
         """True when the vertical index is currently built (and maintained)."""
         return self._vertical is not None
-
-    # ------------------------------------------------------------------ #
-    # Process-boundary export (used by the partitioned engine's process mode)
-    # ------------------------------------------------------------------ #
-    def fingerprint(self) -> str:
-        """Content hash identifying this database's exact transaction sequence.
-
-        Two databases holding the same transactions in the same order share a
-        fingerprint, across processes and interpreter runs.  The digest is
-        computed once and cached (mutations clear it), so repeated queries —
-        one per counting pass in a k-level mining run — are O(1) after the
-        first.  The partitioned engine's process mode keys its per-worker
-        shard caches on this, shipping each shard across the process boundary
-        only when the worker has not seen its fingerprint yet.
-        """
-        if self._fingerprint is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(str(len(self._transactions)).encode("ascii"))
-            for transaction in self._transactions:
-                digest.update(b"\n")
-                digest.update(",".join(map(str, transaction)).encode("ascii"))
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
-    def shard_payload(self) -> dict[str, object]:
-        """Export this database as plain picklable data for a counting worker.
-
-        The payload carries the transaction list plus, when built, the
-        vertical index's mask table — so a worker rebuilding the shard via
-        :meth:`from_shard_payload` inherits the index instead of paying a
-        from-scratch rebuild on its side of the process boundary.
-        """
-        payload: dict[str, object] = {
-            "transactions": self._transactions,
-            "name": self.name,
-        }
-        if self._vertical is not None:
-            payload["vertical"] = self._vertical.to_payload()
-        return payload
-
-    @classmethod
-    def from_shard_payload(cls, payload: dict[str, object]) -> "TransactionDatabase":
-        """Rebuild a database from :meth:`shard_payload` data (no re-validation).
-
-        The payload's transactions are trusted to be canonical already — they
-        came out of a :class:`TransactionDatabase` on the sending side.
-        """
-        database = cls(name=str(payload.get("name", "")))
-        database._transactions = list(payload["transactions"])  # type: ignore[arg-type]
-        vertical = payload.get("vertical")
-        if vertical is not None:
-            database._vertical = VerticalIndex.from_payload(vertical)  # type: ignore[arg-type]
-        return database
-
-    def partition(self, shards: int, name: str = "") -> list["TransactionDatabase"]:
-        """Split the database into at most *shards* contiguous partitions.
-
-        The partitions are balanced (sizes differ by at most one), cover every
-        transaction exactly once in order, and are returned as independent
-        database views; empty partitions are dropped, so fewer than *shards*
-        databases come back when the database is smaller than the shard
-        count.  Support counting distributes over the partitions —
-        ``support(X, DB) = Σ support(X, shard_i)`` — which is the invariant
-        the partitioned counting engine builds on.
-
-        Default-named partitions are cached per shard count and served again
-        on the next call (mutations drop the cache — partitions rebalance),
-        so repeated counting passes over the same database do not re-split
-        it; per-shard state such as a shard's vertical index therefore also
-        survives across passes.
-        """
-        if not name:
-            cached = self._partitions.get(shards)
-            if cached is None:
-                cached = self._partitions[shards] = self._build_partitions(shards, "")
-            return list(cached)
-        return self._build_partitions(shards, name)
-
-    def _build_partitions(self, shards: int, name: str) -> list["TransactionDatabase"]:
-        partitions: list[TransactionDatabase] = []
-        for index, (start, stop) in enumerate(shard_bounds(len(self._transactions), shards)):
-            label = name or (f"{self.name}[shard {index}]" if self.name else "")
-            partitions.append(self.slice(start, stop, name=label))
-        return partitions
 
     def slice(self, start: int, stop: int | None = None, name: str = "") -> "TransactionDatabase":
         """Return a new database holding transactions ``[start:stop)``.

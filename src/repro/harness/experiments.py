@@ -7,7 +7,7 @@ This module turns that evaluation section into a declarative, runnable
 matrix:
 
 * :class:`ExperimentMatrix` names the sweep — workload × increment size ×
-  support threshold × counting engine/executor × maintenance policy — as
+  support threshold × counting engine × maintenance policy — as
   plain data;
 * :func:`run_matrix` executes every cell through the harness's
   :func:`~repro.harness.runner.compare_update_strategies` template (FUP with
@@ -67,7 +67,7 @@ from ..db.transaction_db import TransactionDatabase
 from ..db.update import UpdateBatch
 from ..errors import ExperimentError
 from ..mining.apriori import AprioriMiner
-from ..mining.backends import BACKEND_NAMES, EXECUTOR_NAMES, MiningOptions
+from ..mining.backends import BACKEND_NAMES, MiningOptions
 from ..mining.dhp import DhpMiner
 from ..mining.result import MiningResult
 from .figures import grouped_bar_chart
@@ -106,77 +106,34 @@ def work_speedup(baseline_reads: int, fup_reads: int) -> float:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One counting-engine configuration of the sweep.
-
-    The compact string form is ``backend[:shards[:executor[:workers]]]``:
+    """One counting-engine configuration of the sweep: a backend name.
 
     >>> EngineSpec.parse("vertical").label
     'vertical'
-    >>> spec = EngineSpec.parse("partitioned:4:processes")
-    >>> (spec.backend, spec.shards, spec.executor, spec.label)
-    ('partitioned', 4, 'processes', 'partitioned:4:processes')
     """
 
     backend: str = "horizontal"
-    shards: int = 4
-    executor: str = "threads"
-    workers: int | None = None
 
     @classmethod
     def parse(cls, text: str) -> "EngineSpec":
-        """Parse the ``backend[:shards[:executor[:workers]]]`` form."""
-        parts = text.strip().split(":")
-        if not parts or not parts[0]:
+        """Parse an engine name from :data:`~repro.mining.backends.BACKEND_NAMES`."""
+        name = text.strip()
+        if not name:
             raise ExperimentError(f"empty engine spec in {text!r}")
-        if parts[0] not in BACKEND_NAMES:
+        if name not in BACKEND_NAMES:
             raise ExperimentError(
-                f"unknown backend {parts[0]!r} in engine spec {text!r}; "
-                f"expected one of {', '.join(BACKEND_NAMES)}"
+                f"unknown engine spec {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
             )
-        spec: dict[str, object] = {"backend": parts[0]}
-        try:
-            if len(parts) > 1 and parts[1]:
-                spec["shards"] = int(parts[1])
-            if len(parts) > 2 and parts[2]:
-                if parts[2] not in EXECUTOR_NAMES:
-                    raise ExperimentError(
-                        f"unknown executor {parts[2]!r} in engine spec {text!r}; "
-                        f"expected one of {', '.join(EXECUTOR_NAMES)}"
-                    )
-                spec["executor"] = parts[2]
-            if len(parts) > 3 and parts[3]:
-                spec["workers"] = int(parts[3])
-        except ValueError as exc:
-            raise ExperimentError(
-                f"engine spec {text!r} is not backend[:shards[:executor[:workers]]]: {exc}"
-            ) from None
-        if len(parts) > 4:
-            raise ExperimentError(f"too many fields in engine spec {text!r}")
-        for field in ("shards", "workers"):
-            if field in spec and spec[field] < 1:  # type: ignore[operator]
-                raise ExperimentError(
-                    f"{field} must be positive in engine spec {text!r}, got {spec[field]}"
-                )
-        return cls(**spec)  # type: ignore[arg-type]
+        return cls(name)
 
     @property
     def label(self) -> str:
-        """Compact display/round-trip form (single-partition engines: the name)."""
-        if self.backend != "partitioned":
-            return self.backend
-        label = f"{self.backend}:{self.shards}:{self.executor}"
-        if self.workers is not None:
-            label += f":{self.workers}"
-        return label
+        """Display and round-trip form: the backend name."""
+        return self.backend
 
     def mining_options(self) -> MiningOptions:
         """The equivalent engine selection for the miners and updaters."""
-        return MiningOptions(
-            backend=self.backend,
-            shards=self.shards,
-            executor=self.executor,
-            workers=self.workers,
-        )
+        return MiningOptions(backend=self.backend)
 
 
 @dataclass(frozen=True)
@@ -195,12 +152,7 @@ class ExperimentMatrix:
     seed: int | None = None  # None: the generator's fixed default seed
     supports: tuple[float, ...] = (0.03, 0.02, 0.015)
     increment_fractions: tuple[float, ...] = (0.25, 0.5, 1.0)
-    engines: tuple[EngineSpec, ...] = (
-        EngineSpec("horizontal"),
-        EngineSpec("vertical"),
-        EngineSpec("partitioned", 4, "threads"),
-        EngineSpec("partitioned", 4, "processes"),
-    )
+    engines: tuple[EngineSpec, ...] = (EngineSpec("horizontal"), EngineSpec("vertical"))
     #: Maintenance-policy dimension: ``unbounded`` is the paper's setting
     #: (DB ∪ db keeps everything); ``window`` maintains a sliding window of
     #: |DB| transactions, so the increment's arrival evicts the oldest rows
@@ -211,14 +163,10 @@ class ExperimentMatrix:
     @classmethod
     def quick(cls) -> "ExperimentMatrix":
         """The CI preset: small enough to run on every push, still covering
-        both executors, the increment × support plane, and both policies."""
+        both engines, the increment × support plane, and both policies."""
         return cls(
             supports=(0.03, 0.02),
             increment_fractions=(0.5, 1.0),
-            engines=(
-                EngineSpec("horizontal"),
-                EngineSpec("partitioned", 4, "processes"),
-            ),
             policies=("unbounded", "window"),
             label="quick",
         )
@@ -388,69 +336,57 @@ def run_matrix(
     initial_cache: dict[tuple[str, float], object] = {}
     for engine in matrix.engines:
         mining = engine.mining_options()
-        # One engine instance serves every strategy of every cell of this
-        # spec's sweep, so a stateful engine (process workers and their
-        # shipped-shard caches above all) pays its setup once per spec, not
-        # once per miner construction.
-        shared_engine = mining.make_backend()
-        try:
-            for fraction in matrix.increment_fractions:
-                size = max(1, round(fraction * len(increment)))
-                part = increment.slice(0, size, name=f"{workload.name}.d x{fraction:g}")
-                for min_support in matrix.supports:
-                    key = (engine.label, min_support)
-                    for policy in matrix.policies:
-                        say(
-                            f"[{engine.label}] |d|={size} s={min_support:g} "
-                            f"policy={policy} "
-                            f"({'cached' if key in initial_cache else 'mining'} "
-                            "initial state)"
+        for fraction in matrix.increment_fractions:
+            size = max(1, round(fraction * len(increment)))
+            part = increment.slice(0, size, name=f"{workload.name}.d x{fraction:g}")
+            for min_support in matrix.supports:
+                key = (engine.label, min_support)
+                for policy in matrix.policies:
+                    say(
+                        f"[{engine.label}] |d|={size} s={min_support:g} "
+                        f"policy={policy} "
+                        f"({'cached' if key in initial_cache else 'mining'} "
+                        "initial state)"
+                    )
+                    if key not in initial_cache:
+                        initial_cache[key] = AprioriMiner(
+                            min_support, options=mining
+                        ).mine(original)
+                    if policy == "window":
+                        comparison = _windowed_comparison(
+                            original,
+                            part,
+                            min_support,
+                            workload=workload.name,
+                            initial=initial_cache[key],  # type: ignore[arg-type]
+                            mining=mining,
                         )
-                        if key not in initial_cache:
-                            initial_cache[key] = AprioriMiner(
-                                min_support, options=shared_engine
-                            ).mine(original)
-                        if policy == "window":
-                            comparison = _windowed_comparison(
-                                original,
-                                part,
-                                min_support,
-                                workload=workload.name,
-                                initial=initial_cache[key],  # type: ignore[arg-type]
-                                mining=mining,
-                                engine=shared_engine,
-                            )
-                        else:
-                            comparison = compare_update_strategies(
-                                original,
-                                part,
-                                min_support,
-                                workload=workload.name,
-                                initial=initial_cache[key],  # type: ignore[arg-type]
-                                mining=mining,
-                                engine=shared_engine,
-                            )
-                        if not comparison.consistent():
-                            raise ExperimentError(
-                                f"strategies disagree on the large itemsets at engine="
-                                f"{engine.label}, |d|={size}, s={min_support}, "
-                                f"policy={policy}"
-                            )
-                        cells.append(
-                            ExperimentCell(
-                                workload=workload.name,
-                                engine=engine.label,
-                                increment_fraction=fraction,
-                                increment_size=size,
-                                min_support=min_support,
-                                comparison=comparison,
-                                policy=policy,
-                            )
+                    else:
+                        comparison = compare_update_strategies(
+                            original,
+                            part,
+                            min_support,
+                            workload=workload.name,
+                            initial=initial_cache[key],  # type: ignore[arg-type]
+                            mining=mining,
                         )
-        finally:
-            release = getattr(shared_engine, "close", None)
-            if release is not None:
-                release()
+                    if not comparison.consistent():
+                        raise ExperimentError(
+                            f"strategies disagree on the large itemsets at engine="
+                            f"{engine.label}, |d|={size}, s={min_support}, "
+                            f"policy={policy}"
+                        )
+                    cells.append(
+                        ExperimentCell(
+                            workload=workload.name,
+                            engine=engine.label,
+                            increment_fraction=fraction,
+                            increment_size=size,
+                            min_support=min_support,
+                            comparison=comparison,
+                            policy=policy,
+                        )
+                    )
     return ReproductionReport(matrix=matrix, database_size=len(original), cells=cells)
 
 
@@ -461,7 +397,6 @@ def _windowed_comparison(
     workload: str,
     initial: MiningResult,
     mining: MiningOptions,
-    engine: "object | None" = None,
 ) -> UpdateComparison:
     """One sliding-window cell: the policy-driven maintainer vs the window re-mines.
 
@@ -485,10 +420,8 @@ def _windowed_comparison(
     window = TransactionDatabase(
         maintainer.database.transactions(), name=f"{workload}.window"
     )
-    apriori_result = AprioriMiner(min_support, options=engine or mining).mine(window)
-    dhp_result = DhpMiner(
-        min_support, options=_dhp_options(mining), backend=engine
-    ).mine(window)
+    apriori_result = AprioriMiner(min_support, options=mining).mine(window)
+    dhp_result = DhpMiner(min_support, options=_dhp_options(mining)).mine(window)
     return UpdateComparison(
         workload=workload,
         min_support=min_support,

@@ -30,7 +30,7 @@ from ..db.transaction_db import TransactionDatabase
 from ..db.update import UpdateBatch
 from ..errors import ExperimentError
 from ..mining.apriori import AprioriMiner
-from ..mining.backends import CountingBackend, MiningOptions
+from ..mining.backends import MiningOptions
 from ..mining.dhp import DhpMiner, DhpOptions
 from ..mining.result import MiningResult
 from .metrics import ComparisonRecord, QueryThroughputRecord, RunRecord, speedup
@@ -79,10 +79,9 @@ def run_fup_update(
     increment: TransactionDatabase,
     min_support: float,
     options: FupOptions | None = None,
-    engine: "CountingBackend | None" = None,
 ) -> MiningResult:
     """Run the FUP update step (the previous mining result is reused, not re-timed)."""
-    return FupUpdater(min_support, options=options, backend=engine).update(
+    return FupUpdater(min_support, options=options).update(
         original, previous, increment
     )
 
@@ -140,7 +139,6 @@ def compare_update_strategies(
     options: FupOptions | None = None,
     initial: MiningResult | None = None,
     mining: MiningOptions | None = None,
-    engine: "CountingBackend | None" = None,
 ) -> UpdateComparison:
     """Run the paper's comparison template on one update instance.
 
@@ -161,25 +159,15 @@ def compare_update_strategies(
         The mining result of the original database, if already available;
         when omitted it is mined here with Apriori (its time is *not* part of
         the comparison — the paper treats the old large itemsets as given).
-    engine:
-        A ready counting-engine *instance* shared by every strategy,
-        overriding the engine *mining* describes.  A sweep passing the same
-        instance across many comparisons lets a stateful engine (process
-        workers with shipped-shard caches) amortise its setup over the whole
-        sweep instead of respawning per strategy.
     """
     if initial is None:
-        initial = AprioriMiner(min_support, options=engine or mining).mine(original)
+        initial = AprioriMiner(min_support, options=mining).mine(original)
     updated = original.concatenate(increment)
     if options is None and mining is not None:
         options = FupOptions.from_mining(mining)
-    fup_result = run_fup_update(
-        original, initial, increment, min_support, options=options, engine=engine
-    )
-    apriori_result = AprioriMiner(min_support, options=engine or mining).mine(updated)
-    dhp_result = DhpMiner(
-        min_support, options=_dhp_options(mining), backend=engine
-    ).mine(updated)
+    fup_result = run_fup_update(original, initial, increment, min_support, options=options)
+    apriori_result = AprioriMiner(min_support, options=mining).mine(updated)
+    dhp_result = DhpMiner(min_support, options=_dhp_options(mining)).mine(updated)
     return UpdateComparison(
         workload=workload or original.name or "workload",
         min_support=min_support,

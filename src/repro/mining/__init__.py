@@ -11,11 +11,9 @@ from .result import ItemsetLattice, MiningResult
 from .hash_tree import HashTree
 from .backends import (
     BACKEND_NAMES,
-    EXECUTOR_NAMES,
     CountingBackend,
     HorizontalBackend,
     MiningOptions,
-    PartitionedBackend,
     VerticalBackend,
     make_backend,
 )
@@ -44,11 +42,9 @@ __all__ = [
     "DhpOptions",
     "mine_dhp",
     "BACKEND_NAMES",
-    "EXECUTOR_NAMES",
     "CountingBackend",
     "HorizontalBackend",
     "VerticalBackend",
-    "PartitionedBackend",
     "MiningOptions",
     "make_backend",
     "AssociationRule",

@@ -22,14 +22,7 @@ import time
 
 from ..db.transaction_db import TransactionDatabase
 from ..itemsets import Itemset
-from .backends import (
-    BACKEND_NAMES,
-    DEFAULT_EXECUTOR,
-    DEFAULT_SHARDS,
-    CountingBackend,
-    MiningOptions,
-    make_backend,
-)
+from .backends import BACKEND_NAMES, CountingBackend, MiningOptions, make_backend
 from .candidates import apriori_gen
 from .result import (
     ItemsetLattice,
@@ -85,13 +78,7 @@ class AprioriMiner:
             # MiningOptions, so `options` is None for them.
             self.backend = make_backend(options)
             self.options = (
-                MiningOptions(
-                    backend=self.backend.name,
-                    shards=getattr(self.backend, "shards", DEFAULT_SHARDS),
-                    executor=getattr(self.backend, "executor", DEFAULT_EXECUTOR),
-                    workers=getattr(self.backend, "workers", None),
-                    kernel=getattr(self.backend, "kernel", None),
-                )
+                MiningOptions(backend=self.backend.name)
                 if self.backend.name in BACKEND_NAMES
                 else None
             )

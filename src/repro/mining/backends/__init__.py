@@ -1,25 +1,19 @@
 """Pluggable support-counting engines.
 
-Three interchangeable engines implement the :class:`CountingBackend`
+Two interchangeable engines implement the :class:`CountingBackend`
 contract:
 
 * ``"horizontal"`` — the classic transaction-at-a-time hash-tree scan
   (:class:`HorizontalBackend`), extracted from the original counting module.
   The reference engine, and the only one supporting per-transaction
   interleaving (DHP trimming, FUP database reductions).
-* ``"vertical"`` — per-item TID bitsets intersected per candidate
+* ``"vertical"`` — per-item TID bitmasks intersected per candidate
   (:class:`VerticalBackend`).  The order-of-magnitude win on
   counting-dominated workloads.
-* ``"partitioned"`` — the database split into N shards counted in parallel
-  and merged (:class:`PartitionedBackend`).  The library's sharding seam,
-  with two executors: GIL-bound threads (the default) and a real
-  process-parallel mode (``executor="processes"``) that ships each shard to
-  a dedicated worker process once and caches it there by content
-  fingerprint.
 
 Use :func:`make_backend` (or :meth:`MiningOptions.make_backend`) to construct
-an engine from a configuration, :data:`BACKEND_NAMES` for the CLI
-``--backend`` choices and :data:`EXECUTOR_NAMES` for ``--executor``.
+an engine from a configuration, and :data:`BACKEND_NAMES` for the CLI
+``--backend`` choices.
 """
 
 from __future__ import annotations
@@ -27,11 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...errors import ReproError
-from ...kernels import KERNEL_NAMES
 from .base import CountingBackend, TransactionSource
 from .horizontal import HorizontalBackend
-from .partitioned import DEFAULT_SHARDS, PartitionedBackend, split_into_shards
-from .process_pool import DEFAULT_EXECUTOR, EXECUTOR_NAMES, ShardWorkerPool
 from .vertical import VerticalBackend, build_vertical_index
 
 __all__ = [
@@ -39,60 +30,28 @@ __all__ = [
     "TransactionSource",
     "HorizontalBackend",
     "VerticalBackend",
-    "PartitionedBackend",
-    "ShardWorkerPool",
     "MiningOptions",
     "BACKEND_NAMES",
-    "EXECUTOR_NAMES",
-    "KERNEL_NAMES",
-    "DEFAULT_SHARDS",
-    "DEFAULT_EXECUTOR",
     "make_backend",
     "build_vertical_index",
-    "split_into_shards",
 ]
 
-#: Engine registry: name → zero-config factory.  ``make_backend`` adds the
-#: shard-count and executor knobs on top.
-_FACTORIES = {
+#: Engine registry: name → zero-config factory.
+_FACTORIES: dict[str, type[CountingBackend]] = {
     HorizontalBackend.name: HorizontalBackend,
     VerticalBackend.name: VerticalBackend,
-    PartitionedBackend.name: PartitionedBackend,
 }
 
 #: Valid ``--backend`` values, in registry order.
 BACKEND_NAMES = tuple(_FACTORIES)
 
 
-def make_backend(
-    backend: "str | CountingBackend" = HorizontalBackend.name,
-    shards: int = DEFAULT_SHARDS,
-    executor: str = DEFAULT_EXECUTOR,
-    workers: int | None = None,
-    kernel: str | None = None,
-) -> CountingBackend:
+def make_backend(backend: "str | CountingBackend" = HorizontalBackend.name) -> CountingBackend:
     """Build a counting engine from a name (or pass an instance through).
 
-    Parameters
-    ----------
-    backend:
-        Engine name from :data:`BACKEND_NAMES`, or an already-constructed
-        :class:`CountingBackend` (returned unchanged — lets callers inject
-        custom engines anywhere a name is accepted).
-    shards:
-        Partition count for the ``"partitioned"`` engine; ignored by the
-        single-partition engines.
-    executor:
-        Shard executor for the ``"partitioned"`` engine
-        (:data:`EXECUTOR_NAMES`): ``"threads"`` or ``"processes"``.
-    workers:
-        Cap on the ``"partitioned"`` engine's concurrent lanes (``None``:
-        one per shard).
-    kernel:
-        Bitmap kernel for the ``"vertical"`` engine — also the default
-        inner engine of ``"partitioned"`` (:data:`KERNEL_NAMES`):
-        ``"bigint"``, ``"numpy"``, or ``"auto"``.  ``None`` keeps the
-        default; the horizontal engine ignores it.
+    *backend* is an engine name from :data:`BACKEND_NAMES`, or an
+    already-constructed :class:`CountingBackend` (returned unchanged — lets
+    callers inject custom engines anywhere a name is accepted).
     """
     if isinstance(backend, CountingBackend):
         return backend
@@ -102,12 +61,6 @@ def make_backend(
         raise ReproError(
             f"unknown counting backend {backend!r}; expected one of {', '.join(BACKEND_NAMES)}"
         ) from None
-    if factory is PartitionedBackend:
-        return PartitionedBackend(
-            shards=shards, executor=executor, workers=workers, kernel=kernel
-        )
-    if factory is VerticalBackend:
-        return VerticalBackend(kernel=kernel)
     return factory()
 
 
@@ -119,27 +72,9 @@ class MiningOptions:
     ----------
     backend:
         Counting-engine name (see :data:`BACKEND_NAMES`).
-    shards:
-        Partition count used by the ``"partitioned"`` engine.
-    executor:
-        Shard executor used by the ``"partitioned"`` engine (see
-        :data:`EXECUTOR_NAMES`): ``"threads"`` (GIL-bound, zero overhead) or
-        ``"processes"`` (real parallelism; shards shipped to worker
-        processes once and cached there).
-    workers:
-        Cap on the ``"partitioned"`` engine's concurrent lanes (``None``:
-        one per shard).
-    kernel:
-        Bitmap kernel for the vertical counting core (see
-        :data:`KERNEL_NAMES`): ``"bigint"``, ``"numpy"``, ``"auto"``, or
-        ``None`` for the default.
     """
 
     backend: str = HorizontalBackend.name
-    shards: int = DEFAULT_SHARDS
-    executor: str = DEFAULT_EXECUTOR
-    workers: int | None = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_NAMES:
@@ -147,27 +82,7 @@ class MiningOptions:
                 f"unknown counting backend {self.backend!r}; "
                 f"expected one of {', '.join(BACKEND_NAMES)}"
             )
-        if self.shards < 1:
-            raise ValueError(f"shards must be positive, got {self.shards}")
-        if self.executor not in EXECUTOR_NAMES:
-            raise ReproError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {', '.join(EXECUTOR_NAMES)}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.kernel is not None and self.kernel not in KERNEL_NAMES:
-            raise ReproError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {', '.join(KERNEL_NAMES)}"
-            )
 
     def make_backend(self) -> CountingBackend:
         """Construct the configured engine."""
-        return make_backend(
-            self.backend,
-            shards=self.shards,
-            executor=self.executor,
-            workers=self.workers,
-            kernel=self.kernel,
-        )
+        return make_backend(self.backend)

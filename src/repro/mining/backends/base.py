@@ -5,11 +5,9 @@ all of its time in the same primitive: *given a pool of candidate itemsets and
 a pile of transactions, what is the absolute support count of each candidate?*
 :class:`CountingBackend` turns that primitive into a pluggable seam.  The
 miners and updaters call the backend for every counting pass and never touch
-the scan machinery directly, so the horizontal hash-tree scan, the vertical
-TID-set engine and the partitioned engine — threaded or genuinely
-process-parallel — (and whatever future engines — multi-machine shards,
-external stores, accelerators — come later) are interchangeable without
-touching algorithm code.
+the scan machinery directly, so the horizontal hash-tree scan and the
+vertical TID-set engine are interchangeable without touching algorithm
+code.
 
 Backends accept either a :class:`~repro.db.transaction_db.TransactionDatabase`
 or any sequence of canonical transactions (sorted tuples of ints).  Passing
@@ -45,7 +43,7 @@ class CountingBackend(ABC):
     ----------
     name:
         Registry key and display name of the engine (``"horizontal"``,
-        ``"vertical"``, ``"partitioned"``, ...).
+        ``"vertical"``).
     supports_transaction_pruning:
         True when the engine drives an explicit per-transaction loop, so a
         caller can interleave per-transaction work (DHP's transaction

@@ -4,8 +4,7 @@ This is the classic Apriori counting pass — the ``Subset(C, T)`` primitive of
 Agrawal & Srikant driven over every transaction.  It is the reference engine:
 the one the paper's algorithms describe, the only one that can interleave
 per-transaction work (DHP trimming, FUP's Reduce-db/Reduce-DB) with the scan,
-and the baseline the vertical and partitioned engines are benchmarked
-against.
+and the baseline the vertical engine is benchmarked and tested against.
 """
 
 from __future__ import annotations

@@ -3,11 +3,9 @@
 Instead of walking transactions and asking "which candidates are inside?",
 the vertical layout stores, per item, the set of transaction ids containing
 that item, and answers "how many transactions contain this candidate?" by
-intersecting the TID sets of the candidate's items.  The physical bitmap
-representation is pluggable (:mod:`repro.kernels`): big-int masks — one
-C-speed ``&`` per intersection, one ``int.bit_count()`` per support — by
-default, or numpy ``uint64`` lanes that count a whole candidate level per
-vectorized kernel call when ``kernel="numpy"`` (or ``"auto"``) is selected.
+intersecting the TID sets of the candidate's items.  Each TID set is a
+big-int mask: one C-speed ``&`` per intersection, one ``int.bit_count()``
+per support.
 
 When the source is a :class:`~repro.db.transaction_db.TransactionDatabase`
 the database's cached :class:`~repro.db.vertical_index.VerticalIndex` is
@@ -28,32 +26,21 @@ from typing import Iterable
 from ...db.transaction_db import TransactionDatabase, build_vertical_index
 from ...db.vertical_index import VerticalIndex
 from ...itemsets import Item, Itemset
-from ...kernels import resolve_kernel_name
 from .base import CountingBackend, TransactionSource
 
 __all__ = ["VerticalBackend", "build_vertical_index"]
 
 
 class VerticalBackend(CountingBackend):
-    """Support counting by TID-bitmask intersection.
-
-    *kernel* selects the bitmap kernel (``"bigint"``, ``"numpy"``, or
-    ``"auto"``); it is resolved eagerly so a backend pickled into a worker
-    process counts with the same kernel as its parent.
-    """
+    """Support counting by TID-bitmask intersection."""
 
     name = "vertical"
     supports_transaction_pruning = False
 
-    def __init__(self, kernel: str | None = None) -> None:
-        self.kernel = resolve_kernel_name(kernel)
-
     def _index(self, transactions: TransactionSource) -> VerticalIndex:
         if isinstance(transactions, TransactionDatabase):
-            return transactions.vertical(kernel=self.kernel)
-        return VerticalIndex.build(
-            self.materialize(transactions), kernel=self.kernel
-        )
+            return transactions.vertical()
+        return VerticalIndex.build(self.materialize(transactions))
 
     def count_items(self, transactions: TransactionSource) -> Counter[Item]:
         if isinstance(transactions, TransactionDatabase):

@@ -29,16 +29,7 @@ from itertools import combinations
 
 from ..db.transaction_db import Transaction, TransactionDatabase
 from ..itemsets import Itemset
-from .backends import (
-    BACKEND_NAMES,
-    DEFAULT_EXECUTOR,
-    DEFAULT_SHARDS,
-    EXECUTOR_NAMES,
-    KERNEL_NAMES,
-    CountingBackend,
-    HorizontalBackend,
-    make_backend,
-)
+from .backends import BACKEND_NAMES, CountingBackend, HorizontalBackend, make_backend
 from .candidates import apriori_gen
 from .hash_tree import HashTree
 from .result import (
@@ -67,17 +58,6 @@ class DhpOptions:
     #: Counting engine for the level-k support scans (see
     #: :data:`repro.mining.backends.BACKEND_NAMES`).
     backend: str = HorizontalBackend.name
-    #: Partition count used by the ``"partitioned"`` engine.
-    shards: int = DEFAULT_SHARDS
-    #: Shard executor used by the ``"partitioned"`` engine (``"threads"`` or
-    #: the process-parallel ``"processes"``).
-    executor: str = DEFAULT_EXECUTOR
-    #: Cap on the ``"partitioned"`` engine's concurrent lanes (``None``: one
-    #: per shard).
-    workers: int | None = None
-    #: Bitmap kernel for the vertical counting core (``"bigint"``,
-    #: ``"numpy"``, ``"auto"``, or ``None`` for the default).
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.hash_table_size < 1:
@@ -89,37 +69,14 @@ class DhpOptions:
                 f"unknown counting backend {self.backend!r}; "
                 f"expected one of {', '.join(BACKEND_NAMES)}"
             )
-        if self.shards < 1:
-            raise ValueError(f"shards must be positive, got {self.shards}")
-        if self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {', '.join(EXECUTOR_NAMES)}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.kernel is not None and self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {', '.join(KERNEL_NAMES)}"
-            )
 
     @classmethod
     def from_mining(cls, mining, **overrides) -> "DhpOptions":
         """DHP options carrying a MiningOptions engine selection.
 
-        The single place the engine-selection tuple is projected onto this
-        class — new engine knobs are threaded here once instead of at every
-        call site.
+        The single place the engine selection is projected onto this class.
         """
-        return cls(
-            backend=mining.backend,
-            shards=mining.shards,
-            executor=mining.executor,
-            workers=mining.workers,
-            kernel=mining.kernel,
-            **overrides,
-        )
+        return cls(backend=mining.backend, **overrides)
 
 
 def _hash_pair(pair: Itemset, buckets: int) -> int:
@@ -152,13 +109,7 @@ class DhpMiner:
         # An explicit *backend* instance wins over the options-described
         # engine — callers sharing one (stateful) engine across several
         # miners inject it here.
-        self.backend = backend if backend is not None else make_backend(
-            self.options.backend,
-            shards=self.options.shards,
-            executor=self.options.executor,
-            workers=self.options.workers,
-            kernel=self.options.kernel,
-        )
+        self.backend = backend if backend is not None else make_backend(self.options.backend)
 
     # ------------------------------------------------------------------ #
     def required_count(self, database_size: int) -> int:

@@ -98,13 +98,7 @@ class SessionFeed:
             if strict:
                 raise
             return False
-        try:
-            self.store.publish_from(maintainer)
-        finally:
-            # The snapshot copies everything it serves; release the rebuilt
-            # maintainer's engine resources (worker processes on the
-            # processes executor) instead of churning them per republish.
-            maintainer.close()
+        self.store.publish_from(maintainer)
         # Recording the marker probed *before* the rebuild errs on the safe
         # side: a batch landing mid-rebuild makes the next tick rebuild once
         # more rather than ever serving stale state as fresh.
@@ -132,8 +126,7 @@ class SessionFeed:
                 self.refresh()
             except Exception:
                 # refresh() already absorbs the session-level races; anything
-                # else (a store listener raising, an engine-shutdown hiccup in
-                # maintainer.close) must not kill the feed thread — a server
+                # else (a store listener raising) must not kill the feed thread — a server
                 # serving one stale tick and retrying beats one frozen at
                 # whatever version the crash left behind.  But the error must
                 # leave a trace, or a permanently failing refresh looks like

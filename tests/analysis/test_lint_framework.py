@@ -128,7 +128,8 @@ class TestReporters:
         assert payload["files_checked"] == 1
         assert payload["summary"] == {"new": 1, "baselined": 0, "suppressed": 0}
         codes = {rule["code"] for rule in payload["rules"]}
-        assert {"RPR000", "RPR001", "RPR020", "RPR030", "RPR040"} <= codes
+        assert {"RPR000", "RPR001", "RPR030", "RPR040"} <= codes
+        assert not {"RPR020", "RPR021"} & codes  # left with the lane kernel
         (finding,) = payload["findings"]
         assert set(finding) == {
             "code",

@@ -369,139 +369,6 @@ class TestLedgerStaging:
 
 
 # --------------------------------------------------------------------- #
-# RPR020 unguarded in-place mutation of lane buffers
-# --------------------------------------------------------------------- #
-class TestKernelPurity:
-    def test_flags_unguarded_alias_mutation(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "kernels/bad.py",
-            """
-            from .base import BitmapKernel
-
-            class BadKernel(BitmapKernel):
-                def append(self, transaction):
-                    lanes = self._lanes
-                    lanes[0, 1] |= 2
-            """,
-        )
-        assert "RPR020" in codes(findings)
-
-    def test_flags_out_kwarg_on_frombuffer_result(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "kernels/bad_out.py",
-            """
-            import numpy as np
-            from .base import BitmapKernel
-
-            class BadKernel(BitmapKernel):
-                def count(self, payload):
-                    view = np.frombuffer(payload, dtype="<u8")
-                    np.bitwise_and(view, view, out=view)
-                    return view
-            """,
-        )
-        assert "RPR020" in codes(findings)
-
-    def test_guarded_mutation_and_copies_are_clean(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "kernels/good.py",
-            """
-            import numpy as np
-            from .base import BitmapKernel
-
-            class GoodKernel(BitmapKernel):
-                def append(self, transaction):
-                    self._ensure_capacity(1, 1)
-                    lanes = self._lanes
-                    lanes[0, 1] |= 2
-
-                def count(self, payload):
-                    view = np.array(np.frombuffer(payload, dtype="<u8"))
-                    np.bitwise_and(view, view, out=view)
-                    return view
-            """,
-        )
-        assert not findings
-
-    def test_non_kernel_classes_are_exempt(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "kernels/helper.py",
-            """
-            class Scratch:
-                def fill(self):
-                    lanes = self._lanes
-                    lanes[0] |= 1
-            """,
-        )
-        assert "RPR020" not in codes(findings)
-
-
-# --------------------------------------------------------------------- #
-# RPR021 ABC signature drift
-# --------------------------------------------------------------------- #
-class TestKernelSignatureDrift:
-    def test_flags_drifting_signature(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "kernels/drift.py",
-            """
-            from .base import BitmapKernel
-
-            class DriftKernel(BitmapKernel):
-                def append(self, transaction, flush):
-                    pass
-            """,
-        )
-        drift = [f for f in findings if f.code == "RPR021"]
-        assert len(drift) == 1
-        assert drift[0].symbol == "DriftKernel.append"
-
-    def test_matching_signature_is_clean(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "kernels/match.py",
-            """
-            from .base import BitmapKernel
-
-            class MatchKernel(BitmapKernel):
-                def append(self, transaction):
-                    pass
-
-                def support(self, candidate):
-                    return 0
-            """,
-        )
-        assert not findings
-
-    def test_fixture_tree_can_ship_its_own_contract(self, tmp_path):
-        base = tmp_path / "kernels" / "base.py"
-        base.parent.mkdir(parents=True)
-        base.write_text(
-            "import abc\n"
-            "class BitmapKernel(abc.ABC):\n"
-            "    @abc.abstractmethod\n"
-            "    def lookup(self, key, default):\n"
-            "        ...\n"
-        )
-        findings = lint_source(
-            tmp_path,
-            "kernels/impl.py",
-            """
-            from .base import BitmapKernel
-
-            class Impl(BitmapKernel):
-                def lookup(self, key):
-                    return None
-            """,
-        )
-        assert "RPR021" in codes(findings)
-
-
-# --------------------------------------------------------------------- #
 # RPR030 / RPR031 binary layout geometry
 # --------------------------------------------------------------------- #
 class TestBinaryLayout:

@@ -1,7 +1,7 @@
 """Tier-1 gate: the committed tree passes its own invariant checkers.
 
 This is the test that gives every ``RPR0xx`` rule teeth — a PR that
-introduces a lock-discipline, durability, kernel-purity, layout, or
+introduces a lock-discipline, durability, layout, policy-purity, or
 exception-hygiene violation fails here before CI even reaches the
 dedicated lint job.
 """

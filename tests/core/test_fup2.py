@@ -235,6 +235,32 @@ class TestSeededCandidateGeneration:
         assert result.candidates_per_level[2] == 0
 
 
+class TestBatchShapesAcrossEngines:
+    """Growing, balanced and shrinking batches move the db+ floor across 1,
+    switching the seeded join on and off; every shape stays exact on both
+    engines."""
+
+    @pytest.mark.parametrize("backend", ["horizontal", "vertical"])
+    @pytest.mark.parametrize(
+        "inserted, deleted",
+        [(30, 0), (0, 30), (40, 10), (25, 25), (5, 40), (1, 150)],
+        ids=["insert-only", "delete-only", "grow", "balanced", "shrink", "collapse"],
+    )
+    def test_matches_remining(self, random_database_factory, backend, inserted, deleted):
+        database = random_database_factory(transactions=200, items=12, max_size=6, seed=61)
+        keep, deletions = tail_split(database, deleted)
+        insertions = random_database_factory(
+            transactions=inserted, items=12, max_size=6, seed=62
+        )
+        support = 0.1
+        initial = AprioriMiner(support).mine(database)
+        result = Fup2Updater(support, options=backend).update(
+            database, initial, insertions, deletions
+        )
+        remined = AprioriMiner(support).mine(keep.concatenate(insertions))
+        assert result.lattice.supports() == remined.lattice.supports()
+
+
 class TestFup2Validation:
     def test_rejects_stale_database_size(self, small_database, small_increment):
         initial = AprioriMiner(0.3).mine(small_database)

@@ -14,6 +14,7 @@ from repro import (
     TransactionDatabase,
     UpdateBatch,
     generate_rules,
+    parse_policy,
 )
 from repro.db.transaction_db import build_vertical_index
 from repro.errors import EmptyDatabaseError, InvalidThresholdError, StaleStateError
@@ -301,9 +302,7 @@ class TestBackendEquivalence:
     """A mixed insert/delete session ends identically on every engine."""
 
     def _run_session(self, database, backend: str) -> RuleMaintainer:
-        maintainer = RuleMaintainer(
-            0.1, 0.5, fup_options=FupOptions(backend=backend, shards=3)
-        )
+        maintainer = RuleMaintainer(0.1, 0.5, fup_options=FupOptions(backend=backend))
         maintainer.initialise(database.slice(0, 120))
         maintainer.add_transactions(list(database.slice(120, 160)), label="insert-1")
         maintainer.apply(
@@ -328,6 +327,33 @@ class TestBackendEquivalence:
         assert maintainer.rules == reference.rules
         remined = AprioriMiner(0.1).mine(maintainer.database)
         assert maintainer.result.lattice.supports() == remined.lattice.supports()
+
+    @pytest.mark.parametrize("spec", [None, "window:150", "decay:2", "topk:10"])
+    def test_policy_session_ends_identically_on_both_engines(
+        self, spec, random_database_factory
+    ):
+        """Every retention policy sees the same evictions and publishes the
+        same lattice and rules whichever engine counts the supports."""
+        database = random_database_factory(transactions=240, items=14, seed=5)
+
+        def run(backend: str) -> RuleMaintainer:
+            maintainer = RuleMaintainer(
+                0.1, 0.5, fup_options=FupOptions(backend=backend), policy=parse_policy(spec)
+            )
+            maintainer.initialise(database.slice(0, 120))
+            for start in range(120, 240, 40):
+                maintainer.apply(
+                    UpdateBatch.from_iterables(
+                        insertions=list(database.slice(start, start + 40)),
+                        label=f"batch-{start}",
+                    )
+                )
+            return maintainer
+
+        vertical, horizontal = run("vertical"), run("horizontal")
+        assert vertical.database.transactions() == horizontal.database.transactions()
+        assert vertical.result.lattice.supports() == horizontal.result.lattice.supports()
+        assert vertical.rules == horizontal.rules
 
     def test_vertical_session_maintains_one_index_across_batches(
         self, random_database_factory

@@ -2,7 +2,7 @@
 
 The property suite (`tests/property/test_policy_properties.py`) pins the
 big invariants — window ≡ re-mine, decay monotonicity, top-k bounds —
-across backends and kernels; this file covers the contract edges: spec
+across backends; this file covers the contract edges: spec
 parsing, manifest round trips, plan shapes, and the report/info surfaces.
 """
 

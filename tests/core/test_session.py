@@ -8,6 +8,7 @@ import pytest
 
 from repro import (
     AprioriMiner,
+    FupOptions,
     MaintenanceSession,
     TransactionDatabase,
     UpdateBatch,
@@ -486,6 +487,99 @@ class TestSkipCheckManifests:
         assert response.status == 200
         assert json.loads(body)["version"] == len(self.BATCHES)
         assert "skip" not in body
+
+
+class TestRetiredEngineManifests:
+    """Sessions whose manifest still names the retired engine options.
+
+    Earlier releases persisted ``shards``/``executor``/``workers``/``kernel``
+    in ``session.json`` and could run the partitioned engine.  Every engine
+    counts the same supports and the numpy kernel held the same bits as the
+    big-int masks, so such a session opens on the vertical engine and, after
+    its next checkpoint, is byte-identical to a twin created on it.
+    """
+
+    BATCHES = TestSkipCheckManifests.BATCHES
+    PARENT_KEYS = {"shards": 4, "executor": "threads", "workers": None, "kernel": None}
+    VARIANTS = {
+        "engine-keys": {"backend": "vertical", **PARENT_KEYS},
+        "kernel-numpy": {"backend": "vertical", **PARENT_KEYS, "kernel": "numpy"},
+        "kernel-auto": {"backend": "vertical", **PARENT_KEYS, "kernel": "auto"},
+        "partitioned": {
+            "backend": "partitioned",
+            "shards": 2,
+            "executor": "processes",
+            "workers": 2,
+            "kernel": "numpy",
+        },
+    }
+
+    def _make(self, directory, database):
+        with MaintenanceSession.create(
+            directory,
+            database,
+            min_support=0.3,
+            min_confidence=0.5,
+            fup_options=FupOptions(backend="vertical"),
+            checkpoint_interval=3,
+        ) as created:
+            for number, rows in enumerate(self.BATCHES):
+                created.add_transactions(rows, label=f"b{number}")
+            assert created.pending_batches == 2
+
+    def _legacy_twin(self, tmp_path, database, variant):
+        clean, legacy = tmp_path / "clean", tmp_path / "legacy"
+        self._make(clean, database)
+        self._make(legacy, database)
+        manifest_path = legacy / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(self.VARIANTS[variant])
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        return clean, legacy
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_recovers_byte_identical_to_a_vertical_twin(self, tmp_path, small_database, variant):
+        clean, legacy = self._legacy_twin(tmp_path, small_database, variant)
+        for directory in (clean, legacy):
+            with MaintenanceSession.open(directory) as reopened:
+                assert reopened.applied_seq == len(self.BATCHES)
+                assert reopened.maintainer.fup_options == FupOptions(backend="vertical")
+                reopened.checkpoint()
+        seq = len(self.BATCHES)
+        for name in (f"state-{seq}.json", f"snapshot-{seq}.bin", MANIFEST_NAME):
+            assert (legacy / name).read_bytes() == (clean / name).read_bytes(), name
+        with MaintenanceSession.open(clean) as a, MaintenanceSession.open(legacy) as b:
+            assert [str(rule) for rule in b.rules] == [str(rule) for rule in a.rules]
+
+    def test_status_and_health_no_longer_mention_engine_options(
+        self, tmp_path, small_database, capsys
+    ):
+        import http.client
+
+        from repro import AsyncRuleServer, RuleStore, SessionFeed
+        from repro.cli import main
+
+        retired = ("shard", "executor", "workers", "kernel", "partitioned")
+        _, legacy = self._legacy_twin(tmp_path, small_database, "partitioned")
+        assert main(["session", "status", str(legacy)]) == 0
+        status = capsys.readouterr().out
+        assert "backend: vertical" in status
+        assert not any(word in status for word in retired)
+        peeked = MaintenanceSession.peek(legacy).as_dict()
+        assert peeked["backend"] == "vertical"
+        assert not any(word in key for key in peeked for word in retired)
+
+        store = RuleStore()
+        SessionFeed(store, legacy).refresh(strict=True)
+        with AsyncRuleServer(store) as server:
+            connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            body = response.read().decode("utf-8")
+            connection.close()
+        assert response.status == 200
+        assert json.loads(body)["version"] == len(self.BATCHES)
+        assert not any(word in body for word in retired)
 
 
 class TestHarnessRunner:

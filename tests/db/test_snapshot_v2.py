@@ -18,7 +18,6 @@ from repro.db.store import (
 )
 from repro.db.transaction_db import build_vertical_index
 from repro.errors import StorageError
-from repro.kernels import numpy_available
 
 
 @pytest.fixture
@@ -26,9 +25,6 @@ def sample_database() -> TransactionDatabase:
     return TransactionDatabase(
         [[1, 2, 3], [5], [], [10, 20, 30, 40], [2, 3, 5]], name="sample"
     )
-
-
-KERNELS = [None, "bigint"] + (["numpy"] if numpy_available() else [])
 
 
 class TestRoundTrip:
@@ -40,14 +36,11 @@ class TestRoundTrip:
         assert reopened.transactions() == sample_database.transactions()
         assert len(reopened) == len(sample_database)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_lane_section_round_trips_under_every_kernel(
-        self, tmp_path, sample_database, kernel
-    ):
+    def test_lane_section_round_trips(self, tmp_path, sample_database):
         sample_database.vertical()
         path = tmp_path / "snap.v2"
         write_snapshot(sample_database, path)
-        reopened = open_snapshot(path, kernel=kernel)
+        reopened = open_snapshot(path)
         assert reopened.has_vertical_index
         assert dict(reopened.vertical()) == dict(sample_database.vertical())
         assert reopened.transactions() == sample_database.transactions()

@@ -14,12 +14,24 @@ import pytest
 
 from repro import TransactionDatabase, VerticalIndex
 from repro.db.transaction_db import build_vertical_index
+from repro.db.vertical_index import lane_words
 
 ROWS = [(1, 2, 3), (1, 2), (2, 4), (), (1, 3), (2, 3, 4), (5,)]
+
+#: Candidates probing every support path: the empty itemset, unseen items,
+#: one known item next to an unknown one, and multi-item intersections.
+CANDIDATES = [(), (1,), (2,), (42,), (1, 2), (2, 3), (1, 42), (1, 2, 3), (2, 3, 4)]
 
 
 def scratch(transactions) -> dict[int, int]:
     return build_vertical_index(list(transactions))
+
+
+def brute_force_supports(rows, candidates) -> dict[tuple[int, ...], int]:
+    return {
+        candidate: sum(1 for row in rows if set(candidate).issubset(row))
+        for candidate in candidates
+    }
 
 
 class TestBuildAndQueries:
@@ -60,6 +72,26 @@ class TestBuildAndQueries:
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
             VerticalIndex(size=-1)
+
+    def test_supports_match_brute_force(self):
+        index = VerticalIndex.build(ROWS)
+        expected = brute_force_supports(ROWS, CANDIDATES)
+        for candidate, support in expected.items():
+            assert index.support(candidate) == support, candidate
+        assert index.count_candidates(CANDIDATES) == expected
+
+    def test_count_candidates_of_empty_pool(self):
+        assert VerticalIndex.build(ROWS).count_candidates([]) == {}
+
+    def test_empty_database_counts(self):
+        index = VerticalIndex.build([])
+        assert index.size == 0
+        assert len(index) == 0
+        assert index.count_candidates([(1,), ()]) == {(1,): 0, (): 0}
+
+    def test_constructor_drops_zero_masks(self):
+        index = VerticalIndex({1: 0b1, 2: 0}, size=1)
+        assert dict(index) == {1: 0b1}
 
 
 class TestDeltaMaintenance:
@@ -110,6 +142,28 @@ class TestDeltaMaintenance:
         with pytest.raises(ValueError):
             index.delete_tids([2, 2])
 
+    def test_mutation_sequence_tracks_scratch_rebuild(self):
+        """Appends, extends and deletions — across a 64-bit word boundary."""
+        index = VerticalIndex.build(ROWS)
+        rows = list(ROWS)
+
+        def delete(tids):
+            index.delete_tids(tids)
+            doomed = set(tids)
+            rows[:] = [row for tid, row in enumerate(rows) if tid not in doomed]
+
+        for step in (
+            lambda: (index.append((2, 5, 9)), rows.append((2, 5, 9))),
+            lambda: (index.extend([(1, 9), (), (64, 65)]), rows.extend([(1, 9), (), (64, 65)])),
+            lambda: delete([0, 3, 6]),
+            lambda: (index.extend([(2,)] * 70), rows.extend([(2,)] * 70)),
+            lambda: delete(list(range(0, len(rows), 2))),
+        ):
+            step()
+            assert dict(index) == scratch(rows)
+            assert index.size == len(rows)
+            assert index.item_counts() == VerticalIndex.build(rows).item_counts()
+
     def test_delete_tids_rejects_out_of_range(self):
         index = VerticalIndex.build(ROWS)
         with pytest.raises(ValueError):
@@ -140,6 +194,40 @@ class TestDerivation:
         derived = index.slice(start, stop)
         assert dict(derived) == scratch(ROWS[start:stop])
         assert derived.size == len(ROWS[start:stop])
+
+
+class TestLaneInterchange:
+    """The lane form is the v2 snapshot's byte layout of the masks."""
+
+    def test_lane_words_geometry(self):
+        assert lane_words(0) == 0
+        assert lane_words(1) == 1
+        assert lane_words(64) == 1
+        assert lane_words(65) == 2
+
+    def test_export_then_from_lanes_round_trips(self):
+        rows = ROWS + [(2, 70)] * 66  # more than one 64-bit word per row
+        source = VerticalIndex.build(rows)
+        items, words, buffer = source.export_lanes()
+        assert items == sorted(items) == sorted(source)
+        assert words == lane_words(source.size)
+        assert len(buffer) == len(items) * words * 8
+        revived = VerticalIndex.from_lanes(items, buffer, source.size)
+        assert dict(revived) == dict(source)
+        assert revived.size == source.size
+
+    def test_from_lanes_buffer_survives_mutation(self):
+        """Mutating an index read from lanes leaves its buffer untouched."""
+        source = VerticalIndex.build(ROWS)
+        items, _, buffer = source.export_lanes()
+        frozen = bytes(buffer)
+        revived = VerticalIndex.from_lanes(items, memoryview(frozen), source.size)
+        revived.append((1, 2))
+        revived.extend([(3,)])
+        revived.delete_tids([0])
+        assert dict(revived) == scratch(ROWS[1:] + [(1, 2), (3,)])
+        assert frozen == buffer
+        assert dict(VerticalIndex.from_lanes(items, frozen, source.size)) == scratch(ROWS)
 
 
 class TestDatabaseIntegration:
@@ -175,24 +263,6 @@ class TestDatabaseIntegration:
         head = database.slice(0, 4)
         assert head.has_vertical_index
         assert dict(head.vertical()) == scratch(ROWS[:4])
-
-    def test_partition_derives_and_caches_shards(self):
-        database = TransactionDatabase(ROWS)
-        database.vertical()
-        shards = database.partition(3)
-        assert all(shard.has_vertical_index for shard in shards)
-        again = database.partition(3)
-        assert [id(shard) for shard in shards] == [id(shard) for shard in again]
-        database.append([1])
-        refreshed = database.partition(3)
-        assert [id(s) for s in refreshed] != [id(s) for s in shards]
-        assert [t for shard in refreshed for t in shard] == list(database)
-
-    def test_named_partitions_bypass_the_cache(self):
-        database = TransactionDatabase(ROWS)
-        first = database.partition(2, name="x")
-        second = database.partition(2, name="x")
-        assert [id(s) for s in first] != [id(s) for s in second]
 
     def test_concatenate_derives_when_left_index_is_built(self):
         left = TransactionDatabase(ROWS[:4])

@@ -25,7 +25,7 @@ TINY = ExperimentMatrix(
     scale=0.2,  # |DB| = 200, |d| = 200
     supports=(0.1,),
     increment_fractions=(0.25, 1.0),
-    engines=(EngineSpec("vertical"), EngineSpec("partitioned", 3, "threads")),
+    engines=(EngineSpec("horizontal"), EngineSpec("vertical")),
     label="tiny",
 )
 
@@ -39,29 +39,20 @@ def tiny_report() -> ReproductionReport:
 # EngineSpec
 # --------------------------------------------------------------------- #
 def test_engine_spec_parse_round_trip():
-    for text in ("horizontal", "vertical", "partitioned:8:processes:2"):
-        assert EngineSpec.parse(text).label == text
-    spec = EngineSpec.parse("partitioned:2")
-    assert (spec.shards, spec.executor, spec.workers) == (2, "threads", None)
+    for text in ("horizontal", "vertical", " vertical "):
+        assert EngineSpec.parse(text).label == text.strip()
+    assert EngineSpec.parse("vertical").mining_options().backend == "vertical"
 
 
-def test_engine_spec_rejects_nonsense():
-    with pytest.raises(ExperimentError):
-        EngineSpec.parse("columnar")
-    with pytest.raises(ExperimentError):
-        EngineSpec.parse("partitioned:4:fibers")
-    with pytest.raises(ExperimentError):
-        EngineSpec.parse("partitioned:4:threads:2:extra")
-    with pytest.raises(ExperimentError):
-        EngineSpec.parse("")
-    with pytest.raises(ExperimentError):
-        EngineSpec.parse("partitioned:x")  # non-numeric shard count
-    with pytest.raises(ExperimentError):
-        EngineSpec.parse("partitioned:4:processes:many")
-    with pytest.raises(ExperimentError):
-        EngineSpec.parse("partitioned:0")  # non-positive shard count
-    with pytest.raises(ExperimentError):
-        EngineSpec.parse("partitioned:4:threads:0")
+@pytest.mark.parametrize(
+    "text",
+    ["columnar", "", "partitioned:4:processes", "partitioned", "vertical:4", "vertical:"],
+)
+def test_engine_spec_rejects_nonsense(text):
+    with pytest.raises(ExperimentError) as excinfo:
+        EngineSpec.parse(text)
+    if text:
+        assert "expected one of horizontal, vertical" in str(excinfo.value)
 
 
 def test_cli_arguments_reproduce_the_matrix():
@@ -72,7 +63,7 @@ def test_cli_arguments_reproduce_the_matrix():
     assert "--scale 0.2" in flags
     assert "--supports 0.1" in flags
     assert "--increments 0.25,1" in flags
-    assert "--engines vertical,partitioned:3:threads" in flags
+    assert "--engines horizontal,vertical" in flags
 
 
 def test_work_speedup_guards_zero():

@@ -15,7 +15,7 @@ Every durability claim the ingest layer makes gets killed here:
 The convergence oracle is the acceptance criterion verbatim: after the
 crash, recovery plus a **full producer replay** yields a rule lattice
 byte-identical (the serialized itemset state) to a single clean ingest of
-the same stream — on all three counting backends.  Crashes come in two
+the same stream — on both counting backends.  Crashes come in two
 flavours: an in-process raise (fast; exercises every backend × point) and
 a real ``SIGKILL`` of a ``repro ingest`` subprocess (no ``finally`` blocks
 run — the only honest power-loss simulation).
@@ -45,7 +45,7 @@ CRASH_POINTS = (
     "after-ledger-before-checkpoint",
     "mid-ledger-fsync",
 )
-BACKENDS = ("horizontal", "vertical", "partitioned")
+BACKENDS = ("horizontal", "vertical")
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 

@@ -9,6 +9,9 @@ the oracle.
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from repro import (
@@ -26,11 +29,10 @@ from repro import (
 )
 from repro.mining.backends import (
     HorizontalBackend,
-    PartitionedBackend,
     VerticalBackend,
     build_vertical_index,
-    split_into_shards,
 )
+from repro.mining.result import required_support_count
 
 BACKENDS = list(BACKEND_NAMES)
 
@@ -77,7 +79,7 @@ def reference_counts(database: TransactionDatabase) -> dict[tuple[int, ...], int
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", BACKENDS)
 def test_count_candidates_matches_oracle(name, database):
-    backend = make_backend(name, shards=3)
+    backend = make_backend(name)
     assert backend.count_candidates(database, CANDIDATES) == reference_counts(database)
 
 
@@ -85,7 +87,7 @@ def test_count_candidates_matches_oracle(name, database):
 @pytest.mark.parametrize("shape", [list, iter], ids=["list", "one-shot-iterator"])
 def test_count_candidates_accepts_plain_transaction_lists(name, shape, database):
     """Lists and one-shot iterators count like the database they came from."""
-    backend = make_backend(name, shards=3)
+    backend = make_backend(name)
     rows = list(database)
     assert backend.count_candidates(shape(rows), CANDIDATES) == reference_counts(database)
     assert backend.count_items(shape(rows)) == database.item_counts()
@@ -93,13 +95,13 @@ def test_count_candidates_accepts_plain_transaction_lists(name, shape, database)
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_count_items_matches_database_item_counts(name, database):
-    backend = make_backend(name, shards=3)
+    backend = make_backend(name)
     assert backend.count_items(database) == database.item_counts()
 
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_count_candidates_empty_inputs(name):
-    backend = make_backend(name, shards=3)
+    backend = make_backend(name)
     empty = TransactionDatabase()
     assert backend.count_candidates(empty, [(1,), (1, 2)]) == {(1,): 0, (1, 2): 0}
     assert backend.count_candidates(empty, []) == {}
@@ -108,7 +110,7 @@ def test_count_candidates_empty_inputs(name):
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_count_pools_splits_like_separate_counts(name, database):
-    backend = make_backend(name, shards=3)
+    backend = make_backend(name)
     pool_a = [(1,), (1, 2)]
     pool_b = [(2, 4), (9,)]
     counted_a, counted_b = backend.count_pools(database, [pool_a, pool_b])
@@ -123,35 +125,47 @@ def test_make_backend_rejects_unknown_names():
         MiningOptions(backend="columnar")
 
 
+@pytest.mark.parametrize("retired", ["partitioned"])
+def test_retired_engines_are_refused_with_the_valid_names(retired):
+    assert BACKEND_NAMES == ("horizontal", "vertical")
+    with pytest.raises(ReproError, match="horizontal, vertical"):
+        make_backend(retired)
+    with pytest.raises(ReproError, match="horizontal, vertical"):
+        MiningOptions(backend=retired)
+    with pytest.raises(ValueError, match="horizontal, vertical"):
+        FupOptions(backend=retired)
+    with pytest.raises(ValueError, match="horizontal, vertical"):
+        DhpOptions(backend=retired)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_make_backend_builds_the_named_engine(name):
+    engine = make_backend(name)
+    assert engine.name == name
+    assert type(engine) is {"horizontal": HorizontalBackend, "vertical": VerticalBackend}[name]
+    assert MiningOptions(backend=name).make_backend().name == name
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_engine_selection_projects_between_option_shapes(name):
+    mining = MiningOptions(backend=name)
+    fup = FupOptions.from_mining(mining, use_hash_filter=False)
+    assert fup.backend == name and not fup.use_hash_filter
+    assert fup.mining_options() == mining
+    assert DhpOptions.from_mining(mining).backend == name
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_miners_describe_a_name_or_an_instance_as_options(name):
+    by_name = AprioriMiner(0.2, options=name)
+    by_instance = AprioriMiner(0.2, options=make_backend(name))
+    assert by_name.options == by_instance.options == MiningOptions(backend=name)
+    assert by_name.backend.name == by_instance.backend.name == name
+
+
 def test_make_backend_passes_instances_through():
     engine = VerticalBackend()
     assert make_backend(engine) is engine
-
-
-def test_partitioned_backend_shard_knob():
-    assert PartitionedBackend(shards=7).shards == 7
-    with pytest.raises(ValueError):
-        PartitionedBackend(shards=0)
-    with pytest.raises(ValueError):
-        MiningOptions(shards=0)
-
-
-def test_partitioned_more_shards_than_transactions(database):
-    backend = PartitionedBackend(shards=64)
-    assert backend.count_candidates(database, CANDIDATES) == reference_counts(database)
-
-
-def test_partitioned_inner_engine_is_swappable(database):
-    backend = PartitionedBackend(shards=2, inner=VerticalBackend())
-    assert backend.count_candidates(database, CANDIDATES) == reference_counts(database)
-
-
-def test_split_into_shards_covers_in_order():
-    rows = [(i,) for i in range(10)]
-    parts = split_into_shards(rows, 3)
-    assert [len(part) for part in parts] == [4, 3, 3]
-    assert [row for part in parts for row in part] == rows
-    assert split_into_shards([], 3) == []
 
 
 # --------------------------------------------------------------------- #
@@ -179,20 +193,6 @@ def test_database_vertical_is_cached_and_delta_maintained(database):
     assert dict(database.vertical()) == build_vertical_index(database.transactions())
 
 
-def test_database_partition_balanced_and_distributive(database):
-    shards = database.partition(4)
-    assert sum(len(shard) for shard in shards) == len(database)
-    sizes = [len(shard) for shard in shards]
-    assert max(sizes) - min(sizes) <= 1
-    assert [t for shard in shards for t in shard] == list(database)
-    for candidate in CANDIDATES:
-        assert database.count_itemset(candidate) == sum(
-            shard.count_itemset(candidate) for shard in shards
-        )
-    with pytest.raises(ValueError):
-        database.partition(0)
-
-
 # --------------------------------------------------------------------- #
 # Miner / updater equivalence across engines
 # --------------------------------------------------------------------- #
@@ -205,7 +205,7 @@ SUPPORTS = [0.15, 0.3, 0.55]
 
 
 def _options(name: str) -> MiningOptions:
-    return MiningOptions(backend=name, shards=3)
+    return MiningOptions(backend=name)
 
 
 @pytest.mark.parametrize("min_support", SUPPORTS)
@@ -222,7 +222,7 @@ def test_apriori_identical_across_backends(name, min_support):
 @pytest.mark.parametrize("name", BACKENDS)
 def test_dhp_identical_across_backends(name, min_support):
     reference = DhpMiner(min_support).mine(MINE_DB)
-    options = DhpOptions(backend=name, shards=3)
+    options = DhpOptions(backend=name)
     result = DhpMiner(min_support, options=options).mine(MINE_DB)
     assert result.lattice.supports() == reference.lattice.supports()
 
@@ -232,7 +232,7 @@ def test_dhp_identical_across_backends(name, min_support):
 def test_fup_identical_across_backends(name, min_support):
     initial = AprioriMiner(min_support).mine(MINE_DB)
     reference = FupUpdater(min_support).update(MINE_DB, initial, INCREMENT)
-    options = FupOptions(backend=name, shards=3)
+    options = FupOptions(backend=name)
     result = FupUpdater(min_support, options=options).update(MINE_DB, initial, INCREMENT)
     assert result.lattice.supports() == reference.lattice.supports()
 
@@ -252,7 +252,7 @@ def test_fup2_identical_across_backends(name, min_support):
 def test_fup_backends_agree_with_remining(name):
     min_support = 0.2
     initial = AprioriMiner(min_support).mine(MINE_DB)
-    options = FupOptions(backend=name, shards=3)
+    options = FupOptions(backend=name)
     updated = FupUpdater(min_support, options=options).update(MINE_DB, initial, INCREMENT)
     remined = AprioriMiner(min_support).mine(MINE_DB.concatenate(INCREMENT))
     assert updated.lattice.supports() == remined.lattice.supports()
@@ -261,4 +261,43 @@ def test_fup_backends_agree_with_remining(name):
 def test_horizontal_is_the_only_pruning_backend():
     assert HorizontalBackend().supports_transaction_pruning
     assert not VerticalBackend().supports_transaction_pruning
-    assert not PartitionedBackend().supports_transaction_pruning
+
+
+# --------------------------------------------------------------------- #
+# Every engine against exhaustive enumeration
+# --------------------------------------------------------------------- #
+def brute_force_large_itemsets(database: TransactionDatabase, min_support: float):
+    """Every itemset over the database's items with support ≥ s·D, found by
+    counting all subsets of the item universe with the database's own scan."""
+    required = max(required_support_count(min_support, len(database)), 1)
+    items = sorted(database.item_counts())
+    large = {}
+    for size in range(1, len(items) + 1):
+        level = {}
+        for candidate in combinations(items, size):
+            count = database.count_itemset(candidate)
+            if count >= required:
+                level[candidate] = count
+        if not level:
+            break
+        large.update(level)
+    return large
+
+
+def small_random_database(seed: int) -> TransactionDatabase:
+    rng = random.Random(seed)
+    return TransactionDatabase(
+        [rng.sample(range(8), rng.randint(1, 6)) for _ in range(60)], name=f"enum-{seed}"
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("miner", ["apriori", "dhp"])
+def test_miners_match_exhaustive_enumeration(miner, name, seed):
+    database = small_random_database(seed)
+    if miner == "apriori":
+        result = AprioriMiner(0.15, options=name).mine(database)
+    else:
+        result = DhpMiner(0.15, options=DhpOptions(backend=name)).mine(database)
+    assert result.lattice.supports() == brute_force_large_itemsets(database, 0.15)

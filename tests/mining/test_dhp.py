@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import AprioriMiner, DhpMiner, TransactionDatabase, mine_dhp
+from repro.datagen import SyntheticConfig, generate_database
 from repro.errors import InvalidThresholdError
 from repro.mining.dhp import DhpOptions, _trim_transaction
 
@@ -39,6 +40,41 @@ class TestDhpAgainstApriori:
         apriori = AprioriMiner(0.1).mine(database)
         dhp = DhpMiner(0.1, options=options).mine(database)
         assert dhp.lattice.supports() == apriori.lattice.supports()
+
+
+class TestDhpSwitchesAcrossEngines:
+    """Both switches, on both engines: the answer never moves.  Only the
+    horizontal engine can trim; the vertical one counts the untrimmed
+    database and must land on the same supports."""
+
+    @pytest.mark.parametrize("backend", ["horizontal", "vertical"])
+    @pytest.mark.parametrize("use_hash_filter", [True, False], ids=["filter", "no-filter"])
+    @pytest.mark.parametrize(
+        "use_transaction_trimming", [True, False], ids=["trim", "no-trim"]
+    )
+    def test_matches_apriori(self, backend, use_hash_filter, use_transaction_trimming):
+        # Patterned rows (Section 4.1 generator) reach six levels, so a trim
+        # that drops a still-needed item shows up in the supports.
+        database, _ = generate_database(
+            SyntheticConfig(
+                database_size=300,
+                increment_size=0,
+                mean_transaction_size=6,
+                mean_pattern_size=3,
+                pattern_count=20,
+                item_count=30,
+                pool_size=10,
+                multiplying_factor=100,
+                seed=1,
+            )
+        )
+        options = DhpOptions(
+            use_hash_filter=use_hash_filter,
+            use_transaction_trimming=use_transaction_trimming,
+            backend=backend,
+        )
+        dhp = DhpMiner(0.05, options=options).mine(database)
+        assert dhp.lattice.supports() == AprioriMiner(0.05).mine(database).lattice.supports()
 
 
 class TestDhpPruning:

@@ -33,7 +33,6 @@ from .strategies import build_database, increment_lists, supports, transaction_l
 
 #: Counting-engine names, as a strategy for the backend-equivalence properties.
 backends = st.sampled_from(BACKEND_NAMES)
-shard_counts = st.integers(min_value=1, max_value=5)
 
 RELAXED = settings(
     max_examples=60,
@@ -108,8 +107,8 @@ def test_fup_support_counts_are_true_counts(rows, increment, min_support):
 
 
 @RELAXED
-@given(rows=transaction_lists, backend=backends, shards=shard_counts)
-def test_backends_count_candidates_identically(rows, backend, shards):
+@given(rows=transaction_lists, backend=backends)
+def test_backends_count_candidates_identically(rows, backend):
     """Every engine returns byte-identical counts to the horizontal scan."""
     database = build_database(rows)
     items = sorted(database.items())
@@ -117,7 +116,7 @@ def test_backends_count_candidates_identically(rows, backend, shards):
     candidates += [(a, b) for a in items[:6] for b in items[:6] if a < b]
     candidates += [tuple(items[:3])] if len(items) >= 3 else []
     reference = make_backend("horizontal").count_candidates(database, candidates)
-    engine = make_backend(backend, shards=shards)
+    engine = make_backend(backend)
     assert engine.count_candidates(database, candidates) == reference
     assert engine.count_items(database) == make_backend("horizontal").count_items(database)
 
@@ -128,22 +127,19 @@ def test_backends_count_candidates_identically(rows, backend, shards):
     increment=increment_lists,
     min_support=supports,
     backend=backends,
-    shards=shard_counts,
 )
-def test_miners_and_updaters_backend_invariant(rows, increment, min_support, backend, shards):
+def test_miners_and_updaters_backend_invariant(rows, increment, min_support, backend):
     """Mining and updating produce identical supports on every engine."""
     original = build_database(rows)
     increment_db = build_database(increment) if increment else TransactionDatabase()
     reference_mine = AprioriMiner(min_support).mine(original)
-    mined = AprioriMiner(
-        min_support, options=MiningOptions(backend=backend, shards=shards)
-    ).mine(original)
+    mined = AprioriMiner(min_support, options=MiningOptions(backend=backend)).mine(original)
     assert mined.lattice.supports() == reference_mine.lattice.supports()
 
     reference_update = FupUpdater(min_support).update(original, reference_mine, increment_db)
-    updated = FupUpdater(
-        min_support, options=FupOptions(backend=backend, shards=shards)
-    ).update(original, reference_mine, increment_db)
+    updated = FupUpdater(min_support, options=FupOptions(backend=backend)).update(
+        original, reference_mine, increment_db
+    )
     assert updated.lattice.supports() == reference_update.lattice.supports()
 
 
@@ -184,7 +180,7 @@ def fup_options(backend, prune):
             reduce_databases=False,
             prune_candidates_by_increment=prune,
         )
-    return FupOptions(backend=backend, shards=3, prune_candidates_by_increment=prune)
+    return FupOptions(backend=backend, prune_candidates_by_increment=prune)
 
 
 @RELAXED
@@ -253,7 +249,7 @@ def test_fup2_counts_exactly_the_floor_pool(rows, insertions, delete_count, min_
     insert_db = build_database(insertions) if insertions else TransactionDatabase()
 
     initial = AprioriMiner(min_support).mine(original)
-    updater = Fup2Updater(min_support, options=MiningOptions(backend=backend, shards=3))
+    updater = Fup2Updater(min_support, options=MiningOptions(backend=backend))
     result = updater.update(original, initial, insert_db, deletions)
     remined = AprioriMiner(min_support).mine(remaining.concatenate(insert_db))
     assert result.lattice.supports() == remined.lattice.supports()

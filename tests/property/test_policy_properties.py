@@ -4,7 +4,7 @@ Three pinned behaviours, driven with random workloads:
 
 * **window ≡ re-mine** — a sliding-window maintainer's lattice equals a
   from-scratch Apriori mine of the window contents after *every* batch, on
-  all three counting backends and both bitmap kernels.  This is the PR's
+  both counting backends.  This is the PR's
   acceptance invariant: evictions riding the FUP2 deletion path must be
   indistinguishable from rebuilding the window.
 * **decay re-threshold monotonicity** — under pure aging (no arrivals) the
@@ -32,7 +32,6 @@ from repro import (
     TransactionDatabase,
     UpdateBatch,
 )
-from repro.kernels import numpy_available
 from repro.mining.backends import BACKEND_NAMES
 
 from .strategies import build_database, transactions
@@ -45,21 +44,14 @@ insert_streams = st.lists(
     st.lists(transactions, min_size=1, max_size=4), min_size=1, max_size=4
 )
 
-ENGINES = [("horizontal", None), ("vertical", "bigint"), ("partitioned", "bigint")] + (
-    [("vertical", "numpy"), ("partitioned", "numpy")] if numpy_available() else []
-)
-
-assert set(backend for backend, _ in ENGINES[:3]) == set(BACKEND_NAMES)
-
-
-@pytest.mark.parametrize(("backend", "kernel"), ENGINES)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @settings(max_examples=6, deadline=None)
 @given(initial=initial_databases, stream=insert_streams, window=st.integers(4, 12))
-def test_window_equals_remine_at_every_step(backend, kernel, initial, stream, window):
+def test_window_equals_remine_at_every_step(backend, initial, stream, window):
     maintainer = RuleMaintainer(
         0.25,
         0.5,
-        fup_options=FupOptions(backend=backend, shards=2, kernel=kernel),
+        fup_options=FupOptions(backend=backend),
         policy=SlidingWindowPolicy(window),
     )
     maintainer.initialise(build_database(initial))

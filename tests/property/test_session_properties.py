@@ -5,7 +5,7 @@ batches — the process simply disappears, no close, no checkpoint — and then
 reopened produces bit-for-bit identical supports, rules and database to a
 session that applied the same batches without interruption.  These tests
 drive random batch sequences (insertions mixed with deletions of rows that
-exist at that point of the sequence) through both paths on **all three
+exist at that point of the sequence) through both paths on **both
 counting backends** and compare the end states exactly.
 
 A second property covers the crash *inside* a batch: the journal record was
@@ -75,7 +75,7 @@ def _run_session(directory, database, batches, backend, interrupt_after=None):
         database,
         min_support=0.25,
         min_confidence=0.5,
-        fup_options=FupOptions(backend=backend, shards=2),
+        fup_options=FupOptions(backend=backend),
         checkpoint_interval=2,
     )
     for index, batch in enumerate(batches):

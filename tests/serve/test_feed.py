@@ -121,24 +121,6 @@ class TestSessionFeed:
         assert feed._thread is None
         assert store.version == 1  # the entry refresh published
 
-    def test_refresh_closes_the_rebuilt_maintainer(self, session_dir, monkeypatch):
-        """Each republish must release its maintainer's engine resources."""
-        import repro.serve.feed as feed_module
-
-        closed = []
-        real_read = feed_module.read_session_state
-
-        def tracking_read(directory):
-            maintainer = real_read(directory)
-            original_close = maintainer.close
-            maintainer.close = lambda: (closed.append(True), original_close())[1]
-            return maintainer
-
-        monkeypatch.setattr(feed_module, "read_session_state", tracking_read)
-        feed = SessionFeed(RuleStore(), session_dir, interval=0.05)
-        assert feed.refresh() is True
-        assert closed == [True]
-
     def test_interval_must_be_positive(self, session_dir):
         with pytest.raises(ValueError):
             SessionFeed(RuleStore(), session_dir, interval=0.0)

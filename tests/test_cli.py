@@ -62,6 +62,24 @@ class TestStateFiles:
             load_state(path)
 
 
+#: Subcommands that carried the partitioned engine's and the kernel
+#: registry's flags, with the arguments each needs to parse otherwise.
+ENGINE_FLAG_COMMANDS = {
+    "mine": ["mine", "db.txt", "--min-support", "0.1"],
+    "update": ["update", "db.txt", "incr.txt", "state.json"],
+    "maintain": ["maintain", "db.txt", "incr.txt", "--min-support", "0.1"],
+    "session-init": ["session", "init", "sess", "db.txt", "--min-support", "0.1"],
+    "compare": ["compare", "db.txt", "incr.txt", "--min-support", "0.1"],
+    "serve": ["serve", "db.txt", "--min-support", "0.1"],
+}
+RETIRED_ENGINE_FLAGS = (
+    ("--shards", "4"),
+    ("--executor", "processes"),
+    ("--workers", "2"),
+    ("--kernel", "numpy"),
+)
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -93,6 +111,20 @@ class TestParser:
         assert build_parser().parse_args(argv).backend == "vertical"
 
     @pytest.mark.parametrize(
+        "argv", ENGINE_FLAG_COMMANDS.values(), ids=ENGINE_FLAG_COMMANDS.keys()
+    )
+    def test_backend_choices_are_the_engine_registry(self, argv, capsys):
+        """Both kept engines parse; a retired engine name is refused by argparse."""
+        parser = build_parser()
+        for name in ("horizontal", "vertical"):
+            assert parser.parse_args([*argv, "--backend", name]).backend == name
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([*argv, "--backend", "partitioned"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "partitioned" in err
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["serve", "db.txt", "--frontend", "async"], "--frontend"),
@@ -102,6 +134,11 @@ class TestParser:
             (["session", "apply", "sess", "--skip-check"], "--skip-check"),
             (["ingest", "sess", "--skip-check"], "--skip-check"),
             (["pipeline", "sess", "--skip-check"], "--skip-check"),
+            *[
+                ([*command, flag, value], flag)
+                for command in ENGINE_FLAG_COMMANDS.values()
+                for flag, value in RETIRED_ENGINE_FLAGS
+            ],
         ],
         ids=[
             "serve-frontend",
@@ -111,10 +148,15 @@ class TestParser:
             "session-apply-skip-check",
             "ingest-skip-check",
             "pipeline-skip-check",
+            *[
+                f"{name}{flag}"
+                for name in ENGINE_FLAG_COMMANDS
+                for flag, _ in RETIRED_ENGINE_FLAGS
+            ],
         ],
     )
     def test_removed_options_are_refused(self, argv, flag, capsys):
-        """The threaded front end and the skip pre-check left no option behind."""
+        """Retired front ends, pre-checks and engines left no option behind."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -182,6 +224,25 @@ class TestMineCommand:
         assert lattice.supports() == expected.lattice.supports()
         assert min_support == 0.1
         assert "large itemsets" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algorithm", ["apriori", "dhp"])
+    def test_state_is_the_same_on_both_engines(self, tmp_path, workload_files, algorithm):
+        lattices = []
+        for backend in ("horizontal", "vertical"):
+            state_path = tmp_path / f"{backend}.json"
+            code = main(
+                [
+                    "mine", str(workload_files["database_path"]),
+                    "--algorithm", algorithm,
+                    "--min-support", "0.1",
+                    "--backend", backend,
+                    "--state", str(state_path),
+                ]
+            )
+            assert code == 0
+            lattices.append(load_state(state_path)[0].supports())
+        assert lattices[0] == lattices[1]
+        assert lattices[0] == AprioriMiner(0.1).mine(workload_files["original"]).lattice.supports()
 
     def test_mine_with_dhp_and_rules(self, workload_files, capsys):
         code = main(
@@ -490,69 +551,6 @@ class TestCompareCommand:
         assert "candidate ratio" in output
 
 
-class TestExecutorFlags:
-    def test_mine_with_process_executor(self, tmp_path, workload_files, capsys):
-        code = main(
-            [
-                "mine", str(workload_files["database_path"]),
-                "--min-support", "0.1",
-                "--backend", "partitioned", "--shards", "3",
-                "--executor", "processes", "--workers", "2",
-            ]
-        )
-        assert code == 0
-        assert "large itemsets" in capsys.readouterr().out
-
-    def test_executor_choices_are_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["mine", "db.txt", "--min-support", "0.1", "--executor", "fibers"]
-            )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["mine", "db.txt", "--min-support", "0.1", "--workers", "0"]
-            )
-
-    def test_session_manifest_records_executor(self, tmp_path, workload_files, capsys):
-        session_dir = tmp_path / "session"
-        code = main(
-            [
-                "session", "init", str(session_dir),
-                str(workload_files["database_path"]),
-                "--min-support", "0.1",
-                "--backend", "partitioned", "--executor", "processes", "--workers", "2",
-            ]
-        )
-        assert code == 0
-        manifest = json.loads((session_dir / "session.json").read_text())
-        assert manifest["executor"] == "processes"
-        assert manifest["workers"] == 2
-        capsys.readouterr()
-        assert main(["session", "status", str(session_dir)]) == 0
-        status_output = capsys.readouterr().out
-        assert "executor: processes" in status_output
-        assert "workers: 2" in status_output
-
-    def test_pre_executor_manifests_still_open(self, tmp_path, workload_files, capsys):
-        session_dir = tmp_path / "session"
-        main(
-            [
-                "session", "init", str(session_dir),
-                str(workload_files["database_path"]),
-                "--min-support", "0.1",
-            ]
-        )
-        manifest_path = session_dir / "session.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["executor"], manifest["workers"]
-        manifest_path.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert main(["session", "status", str(session_dir)]) == 0
-        assert "executor: threads" in capsys.readouterr().out
-        with MaintenanceSession.open(session_dir) as session:
-            assert session.maintainer.fup_options.executor == "threads"
-
-
 class TestReproduceCommand:
     def test_tiny_custom_matrix_end_to_end(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_reproduction.json"
@@ -561,7 +559,7 @@ class TestReproduceCommand:
                 "reproduce",
                 "--workload", "T5.I2.D1.d1", "--scale", "0.2",
                 "--supports", "0.1", "--increments", "0.5",
-                "--engines", "vertical,partitioned:3:threads",
+                "--engines", "horizontal,vertical",
                 "--out", str(out_path),
             ]
         )
@@ -596,10 +594,11 @@ class TestReproduceCommand:
         assert main([*matrix_args, "--check-docs", str(docs_path)]) == 1
         assert "drifted" in capsys.readouterr().err
 
-    def test_bad_engine_spec_fails_cleanly(self, capsys):
-        code = main(["reproduce", "--quick", "--engines", "columnar"])
+    @pytest.mark.parametrize("spec", ["columnar", "partitioned:4:processes", "vertical:4"])
+    def test_bad_engine_spec_fails_cleanly(self, spec, capsys):
+        code = main(["reproduce", "--quick", "--engines", spec])
         assert code == 2
-        assert "unknown backend" in capsys.readouterr().err
+        assert "expected one of horizontal, vertical" in capsys.readouterr().err
 
 
 class TestDocsCommand:
@@ -625,7 +624,7 @@ class TestDocsCommand:
         assert "comma-separated numbers" in capsys.readouterr().err
         assert main(["reproduce", "--quick", "--increments", "0.5x"]) == 2
         assert "comma-separated numbers" in capsys.readouterr().err
-        assert main(["reproduce", "--quick", "--engines", "partitioned:x"]) == 2
+        assert main(["reproduce", "--quick", "--engines", "vertical:x"]) == 2
         assert "engine spec" in capsys.readouterr().err
 
     def test_check_docs_missing_file_fails_cleanly(self, tmp_path, capsys):
@@ -908,59 +907,6 @@ class TestSnapshotCommands:
             == 2
         )
         assert "already snapshot format" in capsys.readouterr().err
-
-
-class TestKernelFlag:
-    def test_mine_with_explicit_kernel_matches_default(
-        self, tmp_path, workload_files, capsys
-    ):
-        from repro.kernels import numpy_available
-
-        kernel = "numpy" if numpy_available() else "bigint"
-        state_default = tmp_path / "default.json"
-        state_kernel = tmp_path / "kernel.json"
-        base = ["mine", str(workload_files["database_path"]), "--min-support", "0.1"]
-        assert main(base + ["--state", str(state_default)]) == 0
-        assert (
-            main(
-                base
-                + ["--backend", "vertical", "--kernel", kernel, "--state", str(state_kernel)]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert load_state(state_kernel)[0].supports() == load_state(state_default)[0].supports()
-
-    def test_kernel_choices_are_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["mine", "db.txt", "--min-support", "0.1", "--kernel", "simd"]
-            )
-
-    def test_session_manifest_records_kernel(self, tmp_path, workload_files, capsys):
-        session_dir = tmp_path / "session"
-        assert (
-            main(
-                [
-                    "session", "init", str(session_dir),
-                    str(workload_files["database_path"]),
-                    "--min-support", "0.1",
-                    "--min-confidence", "0.5",
-                    "--backend", "vertical",
-                    "--kernel", "auto",
-                ]
-            )
-            == 0
-        )
-        assert main(["session", "status", str(session_dir)]) == 0
-        out = capsys.readouterr().out
-        # The manifest records the *requested* name — resolution happens at
-        # backend construction, so a numpy-free host can still recover an
-        # "auto" session.
-        assert "kernel: auto" in out
-
-        manifest = json.loads((session_dir / "session.json").read_text())
-        assert manifest["kernel"] == "auto"
 
 
 class TestIngestCommand:
